@@ -1,14 +1,14 @@
 """Microbenchmarks of the sampling substrate.
 
 Tracks the two kernels that dominate FORESTCFCM/SCHURCFCM wall time:
-Wilson's walk and the per-forest estimator pass — and shows the hub-root
-speedup that motivates SCHURCFCM (walks rooted at S ∪ hubs are cheaper
-than walks rooted at S alone).
+Wilson's walk and the per-chunk estimator pass (``chunk_stats``) — and
+shows the hub-root speedup that motivates SCHURCFCM (walks rooted at
+S ∪ hubs are cheaper than walks rooted at S alone).
 """
 import numpy as np
 import pytest
 
-from repro.forest.estimators import bfs_tree_for_roots, forest_contrib
+from repro.forest.estimators import bfs_tree_for_roots, chunk_stats
 from repro.forest.wilson import sample_forest
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert
@@ -37,8 +37,9 @@ def test_wilson_hub_roots(benchmark, g):
 
 
 def test_estimator_pass(benchmark, g):
+    # One 16-forest chunk of chunk_stats, the unit each Spark task runs.
     roots = np.array([int(np.argmax(g.degrees))])
     bfs = bfs_tree_for_roots(g, roots)
-    parent, _ = sample_forest(g, roots, np.random.default_rng(7))
-    W = np.random.default_rng(0).choice([-1.0, 1.0], size=(32, g.n))
-    benchmark.pedantic(forest_contrib, args=(parent, bfs, W), rounds=5, iterations=2)
+    W_T = np.random.default_rng(0).choice([-1.0, 1.0], size=(g.n, 32))
+    W_T[roots] = 0.0
+    benchmark.pedantic(chunk_stats, args=(g, bfs, W_T, None, 0, 7, 16), rounds=3, iterations=1)

@@ -47,7 +47,12 @@ class BFSTree:
 def bfs_tree_for_roots(g: CSRGraph, roots) -> BFSTree:
     roots = np.asarray(sorted(roots), dtype=np.int64)
     parent, depth, buckets = local_bfs_tree(g, roots)
-    assert (depth >= 0).all(), "graph must be connected (run on the LCC)"
+    unreachable = int((depth < 0).sum())
+    if unreachable:
+        raise ValueError(
+            f"{unreachable} of {g.n} nodes are unreachable from the roots; "
+            "the graph must be connected (run on the largest connected component)"
+        )
     return BFSTree(roots=roots, parent=parent, depth=depth, buckets=buckets)
 
 

@@ -87,7 +87,7 @@ def local_bfs_tree(
     roots, ``depth[r] = 0``, and ``level_buckets[d]`` is the array of nodes
     at BFS depth ``d`` (``level_buckets[0]`` are the roots). Unreachable
     nodes keep ``parent = -1`` and ``depth = -1``; callers operating on a
-    connected graph assert full coverage.
+    connected graph check full coverage.
     """
     roots = np.asarray(roots, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)

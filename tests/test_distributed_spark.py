@@ -1,8 +1,9 @@
 """Spark fan-out of forest sampling and solver tasks.
 
 Verifies the RDD path produces exactly the statistics the local path
-produces (same seeds), is deterministic, and that full algorithm runs
-work through Spark.
+produces (same seeds), is deterministic, that a tail round shorter
+than the round before it shares that round's Spark job, and that full
+algorithm runs work through Spark.
 """
 import numpy as np
 import pytest
@@ -16,6 +17,46 @@ from repro.forest.distributed import SampleConfig, adaptive_forest_stats
 
 def _cfg(use_spark: bool) -> SampleConfig:
     return SampleConfig(batch0=128, r_coeff=4, max_rounds=2, use_spark=use_spark)
+
+
+def _sample_counting_jobs(spark, g, group: str, config: SampleConfig):
+    """Stats rooted at node 33 (eps=0.3, seed=4) and the number of Spark jobs they ran."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        stats, _ = adaptive_forest_stats(spark, g, [33], None, 0.3, seed=4, config=config)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return stats, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestRoundPlan:
+    # karate at eps=0.3: cap = ceil(r_coeff * eps^-2 * log2(68)) = 143,
+    # so the doubling plan is 128 + 15.
+    TAIL = SampleConfig(batch0=128, r_coeff=2.1, max_rounds=4, use_spark=True)
+
+    def test_short_tail_joins_first_job(self, spark, karate):
+        cap = self.TAIL.max_forests(karate.n, 0.3)
+        assert self.TAIL.batch0 < cap < 2 * self.TAIL.batch0
+        stats, jobs = _sample_counting_jobs(spark, karate, "round-plan-tail", self.TAIL)
+        assert jobs == 1
+        assert stats.n_forests == cap
+
+    def test_long_tail_runs_its_own_job(self, spark, karate):
+        # _cfg draws 128 + 143: the second round is not shorter, so it keeps its job.
+        stats, jobs = _sample_counting_jobs(spark, karate, "round-plan-two", _cfg(True))
+        assert jobs == 2
+        assert stats.n_forests == 271
+
+    def test_folded_stats_equal_single_round(self, spark, karate):
+        # batch0 = cap draws the same (seed, count) chunks in one round.
+        cap = self.TAIL.max_forests(karate.n, 0.3)
+        one = SampleConfig(batch0=cap, r_coeff=self.TAIL.r_coeff, max_rounds=1, use_spark=False)
+        folded, _ = adaptive_forest_stats(spark, karate, [33], None, 0.3, seed=4, config=self.TAIL)
+        single, _ = adaptive_forest_stats(None, karate, [33], None, 0.3, seed=4, config=one)
+        assert folded.n_forests == single.n_forests == cap
+        np.testing.assert_allclose(folded.z_sum, single.z_sum, atol=1e-9)
+        np.testing.assert_allclose(folded.z_sq, single.z_sq, atol=1e-9)
 
 
 class TestSparkSampling:

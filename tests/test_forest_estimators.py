@@ -52,6 +52,14 @@ class TestTelescope:
         assert phi[5] == 0.0 and phi[7] == 0.0
 
 
+class TestConnectivity:
+    def test_disconnected_graph_raises(self):
+        # Two triangles: nodes 3-5 are unreachable from root 0.
+        g = CSRGraph.from_edges(np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]), 6)
+        with pytest.raises(ValueError, match="3 of 6 nodes are unreachable"):
+            adaptive_forest_stats(None, g, [0], None, 0.3, seed=0, config=BIG)
+
+
 class TestForestMasks:
     def test_masks_disjoint_and_valid(self, karate):
         bfs = bfs_tree_for_roots(karate, [33])
