@@ -8,7 +8,6 @@ import pytest
 from repro.core.forest_cfcm import forest_cfcm
 from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
-from repro.forest.distributed import SampleConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert
 
@@ -22,7 +21,7 @@ def bench_graph() -> CSRGraph:
 
 @pytest.mark.parametrize("eps", [0.4, 0.2])
 def test_forest_eps(benchmark, spark, bench_graph, eps):
-    params = Params(eps=eps, sample=SampleConfig(use_spark=True))
+    params = Params(eps=eps)
     res = benchmark.pedantic(
         forest_cfcm, args=(spark, bench_graph, K, params), rounds=1, iterations=1
     )
@@ -31,7 +30,7 @@ def test_forest_eps(benchmark, spark, bench_graph, eps):
 
 @pytest.mark.parametrize("eps", [0.4, 0.2])
 def test_schur_eps(benchmark, spark, bench_graph, eps):
-    params = Params(eps=eps, sample=SampleConfig(use_spark=True))
+    params = Params(eps=eps)
     res = benchmark.pedantic(
         schur_cfcm, args=(spark, bench_graph, K, params), rounds=1, iterations=1
     )

@@ -12,7 +12,6 @@ from repro.core.exact import exact_greedy
 from repro.core.forest_cfcm import forest_cfcm
 from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
-from repro.forest.distributed import SampleConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert
 
@@ -24,8 +23,7 @@ def bench_graph() -> CSRGraph:
     return CSRGraph.from_edges(barabasi_albert(600, 4, seed=0))
 
 
-def _params(use_spark: bool) -> Params:
-    return Params(eps=0.3, sample=SampleConfig(use_spark=use_spark))
+PARAMS = Params(eps=0.3)
 
 
 def test_exact_greedy(benchmark, bench_graph):
@@ -35,20 +33,20 @@ def test_exact_greedy(benchmark, bench_graph):
 
 def test_approx_greedy(benchmark, spark, bench_graph):
     res = benchmark.pedantic(
-        approx_greedy, args=(spark, bench_graph, K, _params(False)), rounds=2, iterations=1
+        approx_greedy, args=(spark, bench_graph, K, PARAMS), rounds=2, iterations=1
     )
     assert len(res.S) == K
 
 
 def test_forest_cfcm(benchmark, spark, bench_graph):
     res = benchmark.pedantic(
-        forest_cfcm, args=(spark, bench_graph, K, _params(True)), rounds=2, iterations=1
+        forest_cfcm, args=(spark, bench_graph, K, PARAMS), rounds=2, iterations=1
     )
     assert len(res.S) == K
 
 
 def test_schur_cfcm(benchmark, spark, bench_graph):
     res = benchmark.pedantic(
-        schur_cfcm, args=(spark, bench_graph, K, _params(True)), rounds=2, iterations=1
+        schur_cfcm, args=(spark, bench_graph, K, PARAMS), rounds=2, iterations=1
     )
     assert len(res.S) == K

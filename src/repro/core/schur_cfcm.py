@@ -30,7 +30,7 @@ from repro.linalg.jl import rademacher_matrix
 __all__ = ["select_T", "schur_complement_from_counts", "schur_delta", "schur_cfcm"]
 
 
-def select_T(g: CSRGraph, c: int | None = None, *, limit: int | None = None) -> list[int]:
+def select_T(g: CSRGraph, c: int | None = None) -> list[int]:
     """Hub root set ``T`` (Algorithm 5, line 1 + the ``|T*|`` rule of §V-A).
 
     Repeatedly removes the max-degree node of the remaining graph. With
@@ -39,7 +39,7 @@ def select_T(g: CSRGraph, c: int | None = None, *, limit: int | None = None) -> 
     ``d_max(T)`` is the max degree after removing ``T``.
     """
     n = g.n
-    limit = limit if limit is not None else (c if c is not None else max(4, min(n // 3, 2000)))
+    limit = c if c is not None else max(4, min(n // 3, 2000))
     deg = g.degrees.astype(np.int64).copy()
     removed = np.zeros(n, dtype=bool)
     order: list[int] = []

@@ -21,13 +21,8 @@ from repro.core.heuristics import degree_baseline, top_cfcc_exact
 from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
 from repro.experiments.graphs import build_graph
-from repro.forest.distributed import SampleConfig
 
 __all__ = ["run_fig1", "run_fig23", "run_fig5", "format_cfcc_table", "format_fig5"]
-
-
-def _params(eps: float) -> Params:
-    return Params(eps=eps, sample=SampleConfig(use_spark=True))
 
 
 @dataclass
@@ -60,9 +55,9 @@ def run_fig1(
         log(f"[fig1] {name} (n={g.n})")
         sols = {
             "EXACT": exact_greedy(g, k_max).S,
-            "APPROX": approx_greedy(spark, g, k_max, _params(eps)).S,
-            "FOREST": forest_cfcm(spark, g, k_max, _params(eps)).S,
-            "SCHUR": schur_cfcm(spark, g, k_max, _params(eps)).S,
+            "APPROX": approx_greedy(spark, g, k_max, Params(eps=eps)).S,
+            "FOREST": forest_cfcm(spark, g, k_max, Params(eps=eps)).S,
+            "SCHUR": schur_cfcm(spark, g, k_max, Params(eps=eps)).S,
         }
         per_algo = {a: _prefix_cfcc(spark, g, S, ks) for a, S in sols.items()}
         for k in ks:
@@ -91,9 +86,9 @@ def run_fig23(
             "DEGREE": degree_baseline(g, k),
             "TOP-CFCC": top_cfcc_exact(g, k) if g.n <= 3000 else degree_baseline(g, k),
             "EXACT": exact_greedy(g, k).S if g.n <= 2500 else None,
-            "APPROX": approx_greedy(spark, g, k, _params(eps)).S,
-            "FOREST": forest_cfcm(spark, g, k, _params(eps)).S,
-            "SCHUR": schur_cfcm(spark, g, k, _params(eps)).S,
+            "APPROX": approx_greedy(spark, g, k, Params(eps=eps)).S,
+            "FOREST": forest_cfcm(spark, g, k, Params(eps=eps)).S,
+            "SCHUR": schur_cfcm(spark, g, k, Params(eps=eps)).S,
         }
         per_algo = {
             a: _prefix_cfcc(spark, g, S, ks) for a, S in sols.items() if S is not None
@@ -120,8 +115,8 @@ def run_fig5(
         c_exact = cfcc_of_set(spark, g, exact_greedy(g, k).S)
         log(f"[fig5] {name}: C_exact={c_exact:.4f}")
         for eps in eps_grid:
-            c_f = cfcc_of_set(spark, g, forest_cfcm(spark, g, k, _params(eps)).S)
-            c_s = cfcc_of_set(spark, g, schur_cfcm(spark, g, k, _params(eps)).S)
+            c_f = cfcc_of_set(spark, g, forest_cfcm(spark, g, k, Params(eps=eps)).S)
+            c_s = cfcc_of_set(spark, g, schur_cfcm(spark, g, k, Params(eps=eps)).S)
             out.append(
                 dict(
                     graph=name,

@@ -11,7 +11,6 @@ from repro.core.forest_cfcm import forest_cfcm
 from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
 from repro.experiments.graphs import build_graph
-from repro.forest.distributed import SampleConfig
 
 __all__ = ["run_fig4", "format_fig4"]
 
@@ -31,7 +30,7 @@ def run_fig4(
         g = build_graph(name)
         log(f"[fig4] {name} (n={g.n})")
         for eps in eps_grid:
-            params = Params(eps=eps, sample=SampleConfig(use_spark=True))
+            params = Params(eps=eps)
             tf = forest_cfcm(spark, g, k, params).seconds
             ts = schur_cfcm(spark, g, k, params).seconds
             out.append(dict(graph=name, eps=eps, forest_s=tf, schur_s=ts))

@@ -18,7 +18,6 @@ from repro.core.forest_cfcm import forest_cfcm
 from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
 from repro.experiments.graphs import SUITE, build_graph, graph_stats
-from repro.forest.distributed import SampleConfig
 
 __all__ = ["Table2Row", "run_table2", "format_table2", "PAPER_TABLE2"]
 
@@ -57,10 +56,6 @@ class Table2Row:
     schur_s: dict = field(default_factory=dict)
 
 
-def _params(eps: float) -> Params:
-    return Params(eps=eps, sample=SampleConfig(use_spark=True))
-
-
 def run_table2(
     spark: SparkSession | None,
     *,
@@ -82,12 +77,12 @@ def run_table2(
             row.exact_s = exact_greedy(g, k).seconds
             log(f"  exact: {row.exact_s:.2f}s")
         if g.n <= approx_limit:
-            row.approx_s = approx_greedy(spark, g, k, _params(0.2)).seconds
+            row.approx_s = approx_greedy(spark, g, k, Params(eps=0.2)).seconds
             log(f"  approx: {row.approx_s:.2f}s")
         for eps in eps_grid:
-            row.forest_s[eps] = forest_cfcm(spark, g, k, _params(eps)).seconds
+            row.forest_s[eps] = forest_cfcm(spark, g, k, Params(eps=eps)).seconds
             log(f"  forest eps={eps}: {row.forest_s[eps]:.2f}s")
-            row.schur_s[eps] = schur_cfcm(spark, g, k, _params(eps)).seconds
+            row.schur_s[eps] = schur_cfcm(spark, g, k, Params(eps=eps)).seconds
             log(f"  schur  eps={eps}: {row.schur_s[eps]:.2f}s")
         rows.append(row)
     return rows

@@ -6,6 +6,6 @@ contributions (the counter updates of Algorithms 2–4 in telescoped form,
 see DESIGN.md §2), and ``distributed`` fans the sampling out across Spark
 tasks with the paper's doubling rounds and empirical-Bernstein early stop.
 """
-from repro.forest.wilson import forest_depths, sample_forest, subtree_sums
+from repro.forest.wilson import forest_depths, sample_forest, subtree_sums_T
 
-__all__ = ["forest_depths", "sample_forest", "subtree_sums"]
+__all__ = ["forest_depths", "sample_forest", "subtree_sums_T"]

@@ -2,12 +2,15 @@
 
 Implements the ``for i = 1..2^{r'} do in parallel`` loops of Algorithms
 2–5: forest *chunks* (a seed plus a count) are ``parallelize``-d, each
-Spark task runs the vectorized batch Wilson sampler against the
-broadcast CSR graph and accumulates dense counter arrays (sums of the
-per-forest contributions of ``repro.forest.estimators``), and partitions
-are combined with ``treeReduce``. Shuffle volume per round is O(w·n),
+Spark task runs the Wilson sampler against the broadcast CSR graph and
+accumulates dense counter arrays (sums of the per-forest contributions
+of ``repro.forest.estimators``), and partitions are combined with
+``treeReduce``. Shuffle volume per round is O(w·n),
 independent of the number of forests. A chunk is the atomic determinism
-unit: results are identical for any partitioning of the same chunks.
+unit: every chunk's sums are identical on any executor. With
+``spark=None`` the driver folds the same chunks with the same function,
+so local and Spark runs differ only in the order partition sums are
+added (last-bit float differences).
 
 Rounds double in size (Algorithm 2 line 5), up to the forest cap; after
 each Spark job the empirical Bernstein bound (Lemma 3.6) on the diagonal
@@ -23,7 +26,8 @@ sampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -96,8 +100,6 @@ class SampleConfig:
     r_coeff: float = 2.0  # max forests = ceil(r_coeff * eps^-2 * log2(2n))
     max_rounds: int = 12
     min_forests: int = 64
-    delta: float | None = None  # failure prob; default 1/n
-    use_spark: bool = True  # False -> run rounds on the driver (tests)
 
     def max_forests(self, n: int, eps: float) -> int:
         return max(
@@ -106,25 +108,13 @@ class SampleConfig:
         )
 
 
-def _merge(
-    acc: ForestStats | None, part: tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
-) -> ForestStats:
-    stats = ForestStats(*part)
-    return stats if acc is None else acc.add(stats)
-
-
-def _run_chunks_local(
-    g: CSRGraph,
-    bfs: BFSTree,
-    W_T: np.ndarray | None,
-    t_col: np.ndarray | None,
-    n_t: int,
-    chunks: list[tuple[int, int]],
-) -> ForestStats:
+def _fold_chunks(payload: tuple, chunks: Iterable[tuple[int, int]]) -> ForestStats | None:
+    """Sum the stats of ``chunks`` in order; the one runner for both paths."""
+    g, bfs, W_T, t_col, n_t = payload
     acc: ForestStats | None = None
     for seed, count in chunks:
-        acc = _merge(acc, chunk_stats(g, bfs, W_T, t_col, n_t, seed, count))
-    assert acc is not None
+        stats = ForestStats(*chunk_stats(g, bfs, W_T, t_col, n_t, seed, count))
+        acc = stats if acc is None else acc.add(stats)
     return acc
 
 
@@ -135,10 +125,7 @@ def _run_chunks_spark(
     slices = min(len(chunks), max(2, sc.defaultParallelism))
 
     def part(it):
-        g, bfs, W_T, t_col, n_t = payload_bc.value
-        acc: ForestStats | None = None
-        for seed, count in it:
-            acc = _merge(acc, chunk_stats(g, bfs, W_T, t_col, n_t, seed, count))
+        acc = _fold_chunks(payload_bc.value, it)
         if acc is not None:
             yield acc
 
@@ -174,14 +161,13 @@ def adaptive_forest_stats(
             t_col[t] = j
         n_t = len(t_nodes)
 
-    delta = config.delta if config.delta is not None else 1.0 / max(g.n, 2)
+    delta = 1.0 / max(g.n, 2)  # failure probability of the Bernstein stop
     cap = config.max_forests(g.n, eps)
     nonroot = bfs.parent >= 0
     x_sup = np.maximum(bfs.depth, 1).astype(np.float64)
 
-    payload_bc = None
-    if spark is not None and config.use_spark:
-        payload_bc = spark.sparkContext.broadcast((g, bfs, W_T, t_col, n_t))
+    payload = (g, bfs, W_T, t_col, n_t)
+    payload_bc = spark.sparkContext.broadcast(payload) if spark is not None else None
 
     total: ForestStats | None = None
     done = 0
@@ -207,7 +193,7 @@ def adaptive_forest_stats(
             if payload_bc is not None:
                 round_stats = _run_chunks_spark(spark, payload_bc, chunks)
             else:
-                round_stats = _run_chunks_local(g, bfs, W_T, t_col, n_t, chunks)
+                round_stats = _fold_chunks(payload, chunks)
             chunks = []
             total = round_stats if total is None else total.add(round_stats)
             # Empirical-Bernstein early stop on the diagonal estimators.

@@ -28,8 +28,6 @@ __all__ = [
     "bfs_tree_for_roots",
     "forest_masks",
     "telescope",
-    "telescope_T",
-    "forest_contrib",
     "chunk_stats",
 ]
 
@@ -72,59 +70,17 @@ def forest_masks(parent: np.ndarray, bfs: BFSTree) -> tuple[np.ndarray, np.ndarr
 
 
 def telescope(bfs: BFSTree, delta: np.ndarray) -> np.ndarray:
-    """Prefix-sum ``phi[..., u] = phi[..., p(u)] + delta[..., u]`` down the BFS tree.
+    """Prefix-sum ``phi[u] = phi[p(u)] + delta[u]`` down the BFS tree.
 
-    ``delta``'s last axis indexes nodes; root entries of the result are 0
-    (grounded voltage).
+    ``delta``'s first axis indexes nodes (shape ``(n,)`` or ``(n, w)``;
+    row gathers are contiguous, which is what makes the per-chunk pass
+    cheap at large ``n·w``). Root rows of the result are 0 (grounded
+    voltage).
     """
     phi = np.zeros_like(delta, dtype=np.float64)
     for nodes in bfs.buckets[1:]:
-        phi[..., nodes] = phi[..., bfs.parent[nodes]] + delta[..., nodes]
+        phi[nodes] = phi[bfs.parent[nodes]] + delta[nodes]
     return phi
-
-
-def telescope_T(bfs: BFSTree, delta_T: np.ndarray) -> np.ndarray:
-    """Row-major telescoping: ``phi[u, :] = phi[p(u), :] + delta_T[u, :]``.
-
-    ``delta_T`` has shape ``(n, w)``; row gathers are contiguous, which
-    is what makes the per-forest pass cheap at large ``n·w``.
-    """
-    phi = np.zeros_like(delta_T, dtype=np.float64)
-    for nodes in bfs.buckets[1:]:
-        phi[nodes] = phi[bfs.parent[nodes]] + delta_T[nodes]
-    return phi
-
-
-def _contrib_T(
-    parent: np.ndarray, bfs: BFSTree, W_T: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One forest's contribution ``(z_f, Y_f_T)`` in row-major layout."""
-    fwd, rev = forest_masks(parent, bfs)
-    signed = fwd.astype(np.float64) - rev.astype(np.float64)
-    z_f = telescope(bfs, signed)
-    Y_f_T = None
-    if W_T is not None:
-        depth_f = forest_depths(parent)
-        SW_T = subtree_sums_T(parent, depth_f, W_T)
-        safe_p = np.where(bfs.parent >= 0, bfs.parent, 0)
-        delta_T = SW_T * fwd[:, None] - SW_T[safe_p] * rev[:, None]
-        Y_f_T = telescope_T(bfs, delta_T)
-    return z_f, Y_f_T
-
-
-def forest_contrib(
-    parent: np.ndarray,
-    bfs: BFSTree,
-    W: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One forest's contribution ``(z_f, Y_f)``.
-
-    ``W`` is the ``(w, n)`` weight matrix (JL rows and/or a ones row);
-    pass None to skip the ``Y`` computation.
-    """
-    W_T = np.ascontiguousarray(W.T) if W is not None else None
-    z_f, Y_f_T = _contrib_T(parent, bfs, W_T)
-    return z_f, (None if Y_f_T is None else np.ascontiguousarray(Y_f_T.T))
 
 
 def chunk_stats(
@@ -143,10 +99,11 @@ def chunk_stats(
     ``(seed, count)`` gives the same sums on any executor.
     """
     n = g.n
-    # Sequential per-forest walks (rng keyed by (seed, b)): the lockstep
-    # batch walker (`sample_forests_batch`) is no faster on scale-free
-    # graphs and suffers straggler blowup on high-diameter graphs, where
-    # each per-source round waits for the slowest of the batch's walks.
+    # Sequential per-forest walks (rng keyed by (seed, b)): a lockstep
+    # batch walker that advances all forests' walks together is no faster
+    # on scale-free graphs and suffers straggler blowup on high-diameter
+    # graphs, where each per-source round waits for the slowest of the
+    # batch's walks.
     forests = [
         sample_forest(g, bfs.roots, np.random.default_rng([seed, b]))
         for b in range(count)
@@ -178,5 +135,5 @@ def chunk_stats(
             cols = t_col[roots_of[b]]
             sel = cols >= 0
             np.add.at(rc, (node_ids[sel], cols[sel]), 1.0)
-    y_sum_T = telescope_T(bfs, delta_acc) if delta_acc is not None else None
+    y_sum_T = telescope(bfs, delta_acc) if delta_acc is not None else None
     return count, z_sum, z_sq, y_sum_T, rc

@@ -12,7 +12,7 @@ counter updates of Algorithms 2–4 can be done in one pass. We instead
 return the parent map and compute depths by vectorized pointer doubling
 (:func:`forest_depths`), which gives the same parent-after-child
 processing discipline as per-depth-level numpy passes
-(:func:`subtree_sums`) — equivalent output, vectorized (DESIGN.md §2).
+(:func:`subtree_sums_T`) — equivalent output, vectorized (DESIGN.md §2).
 """
 from __future__ import annotations
 
@@ -22,9 +22,7 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "sample_forest",
-    "sample_forests_batch",
     "forest_depths",
-    "subtree_sums",
     "subtree_sums_T",
     "depth_buckets",
 ]
@@ -85,58 +83,6 @@ def sample_forest(
     return parent, root_of
 
 
-def sample_forests_batch(
-    g: CSRGraph, roots: np.ndarray, batch: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``batch`` independent forests in vectorized lockstep.
-
-    Statistically identical to ``batch`` calls of :func:`sample_forest`
-    (each forest's walk consumes independent uniforms), but the walk and
-    loop-erasure loops advance all forests simultaneously with numpy
-    gathers — the python-level iteration count drops from
-    O(batch · total walk length) to O(max walk length per source).
-
-    Returns ``(parent, root_of)`` of shape ``(batch, n)``.
-    """
-    n = g.n
-    indptr, indices, deg = g.indptr, g.indices, g.degrees
-    parent = np.full((batch, n), -1, dtype=np.int64)
-    root_of = np.full((batch, n), -1, dtype=np.int64)
-    in_forest = np.zeros((batch, n), dtype=bool)
-    in_forest[:, roots] = True
-    root_of[:, roots] = roots
-    bidx = np.arange(batch)
-    ends = np.zeros(batch, dtype=np.int64)
-    for u in range(n):
-        active = bidx[~in_forest[:, u]]
-        if len(active) == 0:
-            continue
-        # Phase 1: random walks (with cycle popping) until hitting the forest.
-        b = active
-        cur = np.full(len(b), u, dtype=np.int64)
-        while len(b):
-            step = indices[indptr[cur] + (rng.random(len(b)) * deg[cur]).astype(np.int64)]
-            parent[b, cur] = step
-            cur = step
-            hit = in_forest[b, cur]
-            if hit.any():
-                ends[b[hit]] = cur[hit]
-                b, cur = b[~hit], cur[~hit]
-        # Phase 2: freeze the loop-erased paths from u.
-        b = active
-        r = root_of[b, ends[b]]
-        cur = np.full(len(b), u, dtype=np.int64)
-        while len(b):
-            keep = ~in_forest[b, cur]
-            b, cur, r = b[keep], cur[keep], r[keep]
-            if len(b) == 0:
-                break
-            in_forest[b, cur] = True
-            root_of[b, cur] = r
-            cur = parent[b, cur]
-    return parent, root_of
-
-
 def forest_depths(parent: np.ndarray) -> np.ndarray:
     """Depth of every node in its tree, by pointer doubling (O(log depth) passes)."""
     n = len(parent)
@@ -166,8 +112,8 @@ def depth_buckets(depth: np.ndarray) -> list[np.ndarray]:
 def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np.ndarray:
     """Row-major subtree aggregates ``S[a, :] = Σ_{v ∈ subtree(a)} X_T[v, :]``.
 
-    ``X_T`` has shape ``(n, w)``; processes depth levels bottom-up with
-    unbuffered ``np.add.at`` so siblings sharing a parent accumulate
+    ``X_T`` has shape ``(n, w)``; processes depth levels bottom-up with a
+    per-parent segment reduce so siblings sharing a parent accumulate
     correctly. These are the quantities
     ``Σ_v W_{jv} Ñ_{v,S}^{a→π_a}`` of Algorithm 2 line 9 for one forest.
     """
@@ -188,8 +134,3 @@ def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np
         sums = np.add.reduceat(ST[nodes[order]], starts, axis=0)
         ST[uniq] += sums
     return ST
-
-
-def subtree_sums(parent: np.ndarray, depth: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Column-major convenience wrapper: ``S[:, a] = Σ_{v ∈ subtree(a)} X[:, v]``."""
-    return subtree_sums_T(parent, depth, np.ascontiguousarray(X.T)).T

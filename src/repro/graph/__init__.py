@@ -5,7 +5,7 @@ This package supplies the synthetic stand-ins (scale-free, small-world,
 road-like, grid) plus Zachary's karate club, a compact CSR representation
 used inside Spark tasks for random walks, and DataFrame/Catalyst
 implementations of the relational graph operations (degrees, hubs,
-connected components, BFS levels).
+connected components).
 """
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (

@@ -58,10 +58,26 @@ class CSRGraph:
 
     @classmethod
     def from_edges(cls, edges: np.ndarray, n: int | None = None) -> "CSRGraph":
-        """Build from a canonical ``(m, 2)`` edge array."""
+        """Build from a canonical ``(m, 2)`` edge array.
+
+        Raises ``ValueError`` unless the edges form a simple graph on
+        ``0..n-1``: a self-loop or a repeated pair would make the degrees,
+        ``laplacian_dense`` and ``laplacian_matvec`` disagree.
+        """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n is None:
             n = int(edges.max()) + 1 if len(edges) else 0
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        loop = lo == hi
+        keys = lo[~loop] * (int(hi.max(initial=0)) + 1) + hi[~loop]
+        dups = len(keys) - len(np.unique(keys))
+        bad_ids = np.unique(edges[(edges < 0) | (edges >= n)])
+        if loop.any() or dups or len(bad_ids):
+            raise ValueError(
+                f"edges must form a simple graph on nodes 0..{n - 1}: {int(loop.sum())} self-loop(s), "
+                f"{dups} duplicate pair(s) ((u, v) and (v, u) count as one pair), "
+                f"{len(bad_ids)} out-of-range id(s) {bad_ids[:5].tolist()}"
+            )
         both = np.concatenate([edges, edges[:, ::-1]])
         order = np.lexsort((both[:, 1], both[:, 0]))
         both = both[order]

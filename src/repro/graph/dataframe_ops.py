@@ -6,9 +6,9 @@ hub sets. These are relational computations, so they are implemented on
 edge DataFrames (columns ``src``, ``dst``) and validated against the
 DuckDB oracle in the tests.
 
-Iterative algorithms (connected components, BFS levels) follow the
-standard Spark pattern: bounded loop, per-round convergence check via an
-aggregate, and ``localCheckpoint`` to truncate lineage.
+Connected components is iterative and follows the standard Spark
+pattern: bounded loop, per-round convergence check via an aggregate, and
+``localCheckpoint`` to truncate lineage.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "top_degree_nodes",
     "connected_components_df",
     "largest_component_edges",
-    "bfs_levels_df",
 ]
 
 
@@ -144,30 +143,3 @@ def largest_component_edges(df: DataFrame) -> tuple[DataFrame, DataFrame]:
         .select("src", "dst")
     )
     return lcc, nodes
-
-
-def bfs_levels_df(df: DataFrame, roots: list[int], *, max_depth: int = 64) -> DataFrame:
-    """BFS depth per reachable node as ``(node, depth)`` — iterative joins.
-
-    One Catalyst round per BFS level; used as the distributed counterpart
-    of :func:`repro.graph.csr.local_bfs_tree` and cross-checked against it
-    in the tests.
-    """
-    spark = df.sparkSession
-    edges = _both_directions(df).localCheckpoint()
-    visited = spark.createDataFrame([(int(r), 0) for r in roots], "node LONG, depth LONG")
-    frontier = visited
-    for d in range(1, max_depth + 1):
-        nxt = (
-            edges.join(frontier, on=F.col("src") == F.col("node"))
-            .select(F.col("dst").alias("node"))
-            .distinct()
-            .join(visited.select("node"), on="node", how="left_anti")
-            .withColumn("depth", F.lit(d).cast("long"))
-            .localCheckpoint()
-        )
-        if nxt.isEmpty():
-            break
-        visited = visited.union(nxt).localCheckpoint()
-        frontier = nxt
-    return visited

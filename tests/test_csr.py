@@ -63,6 +63,22 @@ class TestCSRStructure:
         assert np.array_equal(g2.degrees, karate.degrees)
 
 
+class TestFromEdgesValidation:
+    @pytest.mark.parametrize(
+        "edges, n, match",
+        [
+            # Triangle with edge (0, 1) doubled, once reversed.
+            ([[0, 1], [1, 2], [0, 2], [1, 0]], 3, r"0 self-loop\(s\), 1 duplicate pair"),
+            ([[0, 1], [1, 2], [0, 2], [0, 1]], 3, r"0 self-loop\(s\), 1 duplicate pair"),
+            ([[0, 1], [1, 2], [0, 2], [2, 2]], 3, r"1 self-loop\(s\), 0 duplicate pair"),
+            ([[0, 1], [1, 2], [0, 3], [-1, 2]], 3, r"2 out-of-range id\(s\) \[-1, 3\]"),
+        ],
+    )
+    def test_rejects_non_simple_input(self, edges, n, match):
+        with pytest.raises(ValueError, match=match):
+            CSRGraph.from_edges(np.array(edges), n)
+
+
 class TestLocalBFS:
     def test_path_graph_depths(self, path4):
         parent, depth, buckets = local_bfs_tree(path4, [0])

@@ -4,9 +4,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.csr import CSRGraph, local_bfs_tree, local_connected_components
+from repro.graph.csr import CSRGraph, local_connected_components
 from repro.graph.dataframe_ops import (
-    bfs_levels_df,
     canonicalize_edges_df,
     connected_components_df,
     degrees_df,
@@ -138,22 +137,3 @@ class TestLargestComponent:
         lcc, nodes = largest_component_edges(karate_df)
         assert nodes.count() == 34
         assert lcc.count() == 78
-
-
-class TestBFSLevels:
-    def test_matches_local(self, spark, karate, karate_df):
-        got = bfs_levels_df(karate_df, [0]).toPandas().set_index("node")["depth"]
-        _, depth, _ = local_bfs_tree(karate, [0])
-        for u in range(karate.n):
-            assert got[u] == depth[u]
-
-    def test_multi_source(self, spark, karate, karate_df):
-        got = bfs_levels_df(karate_df, [0, 33]).toPandas().set_index("node")["depth"]
-        _, depth, _ = local_bfs_tree(karate, [0, 33])
-        for u in range(karate.n):
-            assert got[u] == depth[u]
-
-    def test_unreachable_omitted(self, spark):
-        df = edges_to_df(spark, np.array([[0, 1], [2, 3]]))
-        got = bfs_levels_df(df, [0]).toPandas()
-        assert set(got["node"]) == {0, 1}

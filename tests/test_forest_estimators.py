@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.forest.distributed import SampleConfig, adaptive_forest_stats, bernstein_bound
-from repro.forest.estimators import bfs_tree_for_roots, forest_contrib, forest_masks, telescope
+from repro.forest.estimators import bfs_tree_for_roots, chunk_stats, forest_masks, telescope
 from repro.forest.wilson import sample_forest
 from repro.graph.csr import CSRGraph
 from repro.linalg.laplacian import (
@@ -20,7 +20,7 @@ from repro.linalg.laplacian import (
     submatrix_inverse,
 )
 
-BIG = SampleConfig(batch0=4096, r_coeff=1e9, max_rounds=1, use_spark=False)
+BIG = SampleConfig(batch0=4096, r_coeff=1e9, max_rounds=1)
 
 
 def _dense_diag(L, S, n):
@@ -40,11 +40,11 @@ class TestTelescope:
     def test_2d_delta(self, karate):
         bfs = bfs_tree_for_roots(karate, [33])
         rng = np.random.default_rng(0)
-        delta = rng.standard_normal((2, karate.n))
+        delta = rng.standard_normal((karate.n, 2))
         phi = telescope(bfs, delta)
-        # Row-wise equals 1-D telescoping.
-        np.testing.assert_allclose(phi[0], telescope(bfs, delta[0]))
-        np.testing.assert_allclose(phi[1], telescope(bfs, delta[1]))
+        # Column-wise equals 1-D telescoping.
+        np.testing.assert_allclose(phi[:, 0], telescope(bfs, delta[:, 0]))
+        np.testing.assert_allclose(phi[:, 1], telescope(bfs, delta[:, 1]))
 
     def test_root_is_zero(self, karate):
         bfs = bfs_tree_for_roots(karate, [5, 7])
@@ -178,7 +178,7 @@ class TestBernstein:
 
     def test_adaptive_early_stop(self, karate):
         # Generous cap, loose eps: the Bernstein stop must fire well below cap.
-        cfg = SampleConfig(batch0=256, r_coeff=1e9, max_rounds=10, min_forests=64, use_spark=False)
+        cfg = SampleConfig(batch0=256, r_coeff=1e9, max_rounds=10, min_forests=64)
         stats, _ = adaptive_forest_stats(None, karate, [33], None, 0.9, seed=7, config=cfg)
         assert stats.n_forests < 10000
 
@@ -194,7 +194,7 @@ class TestBernstein:
 
 class TestStatsAccumulator:
     def test_add_merges_counts(self, karate):
-        cfg1 = SampleConfig(batch0=128, r_coeff=1e9, max_rounds=1, use_spark=False)
+        cfg1 = SampleConfig(batch0=128, r_coeff=1e9, max_rounds=1)
         a, _ = adaptive_forest_stats(None, karate, [33], None, 0.2, seed=1, config=cfg1)
         b, _ = adaptive_forest_stats(None, karate, [33], None, 0.2, seed=2, config=cfg1)
         za, zb = a.z.copy(), b.z.copy()
@@ -202,3 +202,43 @@ class TestStatsAccumulator:
         merged = a.add(b)
         assert merged.n_forests == na + nb
         np.testing.assert_allclose(merged.z, (za * na + zb * nb) / (na + nb))
+
+
+class TestChunkStats:
+    def test_matches_sequential_estimator_statistically(self, karate):
+        # The batched pipeline must estimate the same quantities as the
+        # dense ground truth (transitively: as the sequential pipeline).
+        from repro.linalg.laplacian import laplacian_dense, submatrix_inverse
+
+        S = [33, 0]
+        bfs = bfs_tree_for_roots(karate, S)
+        rng = np.random.default_rng(0)
+        W = rng.choice([-1.0, 1.0], size=(3, karate.n))
+        W[:, S] = 0.0
+        W_T = np.ascontiguousarray(W.T)
+        n_tot, z_sum, z_sq, y_sum_T, _ = chunk_stats(karate, bfs, W_T, None, 0, 7, 4000)
+        M, keep = submatrix_inverse(laplacian_dense(karate), S)
+        diag_true = np.zeros(karate.n)
+        diag_true[keep] = np.diag(M)
+        z = z_sum / n_tot
+        nz = diag_true > 0
+        assert (np.abs(z[nz] - diag_true[nz]) / diag_true[nz]).max() < 0.12
+        WM_true = np.zeros((karate.n, 3))
+        WM_true[keep] = M @ W[:, keep].T
+        assert np.abs(y_sum_T / n_tot - WM_true).max() < 0.4
+
+    def test_root_counts(self, karate):
+        bfs = bfs_tree_for_roots(karate, [5, 33, 0])
+        t_col = np.full(karate.n, -1, dtype=np.int64)
+        t_col[33], t_col[0] = 0, 1
+        n_tot, _, _, _, rc = chunk_stats(karate, bfs, None, t_col, 2, 3, 500)
+        # Counts bounded by the forest count; roots of S never counted.
+        assert rc.max() <= n_tot
+        assert rc[5].sum() == 0  # node 5 is a root itself
+        U = [u for u in range(karate.n) if u not in (5, 33, 0)]
+        assert rc[U].sum() > 0
+
+    def test_adaptive_uses_chunks(self, karate):
+        stats, _ = adaptive_forest_stats(None, karate, [33], None, 0.2, seed=1, config=BIG)
+        assert stats.n_forests == 4096
+        assert stats.y_sum is None

@@ -32,7 +32,6 @@ class TestParams:
     def test_defaults(self):
         p = Params()
         assert p.eps == 0.2
-        assert p.sample.use_spark
 
     def test_jl_width_floor(self):
         assert Params(eps=0.9, jl_coeff=0.001).jl_width(10) == 8

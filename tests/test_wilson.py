@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.forest.wilson import depth_buckets, forest_depths, sample_forest, subtree_sums
+from repro.forest.wilson import depth_buckets, forest_depths, sample_forest, subtree_sums_T
 from repro.graph.csr import CSRGraph
 
 
@@ -121,7 +121,7 @@ class TestSubtreeSums:
         depth = forest_depths(parent)
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, karate.n))
-        S = subtree_sums(parent, depth, X)
+        S = subtree_sums_T(parent, depth, X.T).T
         # Brute force: subtree membership via ancestor walks.
         for a in [0, 5, 12, 20]:
             members = [
@@ -134,8 +134,8 @@ class TestSubtreeSums:
     def test_ones_gives_subtree_sizes(self):
         parent = np.array([-1, 0, 0, 1, 1, 2])
         depth = forest_depths(parent)
-        S = subtree_sums(parent, depth, np.ones((1, 6)))
-        assert S[0].tolist() == [6, 3, 2, 1, 1, 1]
+        S = subtree_sums_T(parent, depth, np.ones((6, 1)))
+        assert S[:, 0].tolist() == [6, 3, 2, 1, 1, 1]
 
 
 def _is_ancestor_or_self(parent, a, v):
