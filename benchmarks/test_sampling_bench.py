@@ -1,15 +1,17 @@
 """Microbenchmarks of the sampling substrate.
 
-Tracks the two kernels that dominate FORESTCFCM/SCHURCFCM wall time:
-Wilson's walk and the per-chunk estimator pass (``chunk_stats``) — and
-shows the hub-root speedup that motivates SCHURCFCM (walks rooted at
-S ∪ hubs are cheaper than walks rooted at S alone).
+Tracks the two kernels that dominate FORESTCFCM/SCHURCFCM wall time, each
+on one 16-forest chunk, the unit a Spark task runs: the cycle-popping
+sampler (``sample_forests``) and the per-chunk estimator pass
+(``chunk_stats``, sampler included). The two sampler cases show the
+hub-root speedup that motivates SCHURCFCM (forests rooted at S ∪ hubs
+pop fewer cycles than forests rooted at S alone).
 """
 import numpy as np
 import pytest
 
 from repro.forest.estimators import bfs_tree_for_roots, chunk_stats
-from repro.forest.wilson import sample_forest
+from repro.forest.wilson import sample_forests
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert
 
@@ -19,21 +21,20 @@ def g() -> CSRGraph:
     return CSRGraph.from_edges(barabasi_albert(2000, 4, seed=2))
 
 
-def _sample_many(g, roots, n, seed0):
-    for s in range(n):
-        sample_forest(g, roots, np.random.default_rng(seed0 + s))
+def _sample_chunk(g, roots, seed):
+    sample_forests(g, roots, np.random.default_rng(seed), 16)
 
 
 def test_wilson_single_root(benchmark, g):
     roots = np.array([int(np.argmax(g.degrees))])
-    benchmark.pedantic(_sample_many, args=(g, roots, 20, 0), rounds=3, iterations=1)
+    benchmark.pedantic(_sample_chunk, args=(g, roots, 0), rounds=3, iterations=1)
 
 
 def test_wilson_hub_roots(benchmark, g):
     from repro.core.schur_cfcm import select_T
 
     roots = np.array(sorted(select_T(g)))
-    benchmark.pedantic(_sample_many, args=(g, roots, 20, 0), rounds=3, iterations=1)
+    benchmark.pedantic(_sample_chunk, args=(g, roots, 0), rounds=3, iterations=1)
 
 
 def test_estimator_pass(benchmark, g):

@@ -4,6 +4,11 @@ Small graphs use the dense ground truth; larger graphs use a
 Hutchinson trace estimator over CG solves (the paper likewise switches
 to the conjugate-gradient method for large-graph effectiveness checks,
 Section V-B2). The Hutchinson probes are distributed over Spark tasks.
+
+Evaluation is paired: every caller keeps the default ``seed=0``, so all
+groups scored on a graph see the same probe draws, each zeroed on its
+own group. Differences between algorithms' groups are then not
+independent probe noise (``tests/test_heuristics_evaluate.py`` pins this).
 """
 from __future__ import annotations
 

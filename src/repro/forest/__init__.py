@@ -1,11 +1,12 @@
 """Rooted spanning forest sampling (Wilson's algorithm) and estimators.
 
 ``wilson`` is the local cycle-popping sampler (Algorithm 1 RANDOMFOREST),
-``estimators`` turns one sampled forest into its per-node estimator
-contributions (the counter updates of Algorithms 2–4 in telescoped form,
-see DESIGN.md §2), and ``distributed`` fans the sampling out across Spark
-tasks with the paper's doubling rounds and empirical-Bernstein early stop.
+vectorized over a chunk of forests; ``estimators`` turns a chunk of
+sampled forests into summed per-node estimator contributions (the counter
+updates of Algorithms 2–4 in telescoped form, see DESIGN.md §2), and
+``distributed`` fans the sampling out across Spark tasks with the paper's
+doubling rounds and empirical-Bernstein early stop.
 """
-from repro.forest.wilson import forest_depths, sample_forest, subtree_sums_T
+from repro.forest.wilson import forest_depths, sample_forest, sample_forests, subtree_sums_T
 
-__all__ = ["forest_depths", "sample_forest", "subtree_sums_T"]
+__all__ = ["forest_depths", "sample_forest", "sample_forests", "subtree_sums_T"]

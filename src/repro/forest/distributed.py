@@ -2,7 +2,7 @@
 
 Implements the ``for i = 1..2^{r'} do in parallel`` loops of Algorithms
 2–5: forest *chunks* (a seed plus a count) are ``parallelize``-d, each
-Spark task runs the Wilson sampler against the broadcast CSR graph and
+Spark task runs the cycle-popping sampler against the broadcast CSR graph and
 accumulates dense counter arrays (sums of the per-forest contributions
 of ``repro.forest.estimators``), and partitions are combined with
 ``treeReduce``. Shuffle volume per round is O(w·n),

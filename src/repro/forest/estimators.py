@@ -13,6 +13,8 @@ one sampled forest with parent map ``π`` contributes
 where ``SW[:, a]`` are W-weighted forest-subtree sums (the counters of
 Algorithm 2, lines 9–10). Equivalence with the paper's counter-based
 formulation is proved in DESIGN.md §2 and tested against dense inverses.
+:func:`chunk_stats` evaluates these sums for a whole chunk of forests at
+once, with no per-forest Python loop.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.forest.wilson import forest_depths, sample_forest, subtree_sums_T
+from repro.forest.wilson import forest_depths, sample_forests, subtree_sums_T
 from repro.graph.csr import CSRGraph, local_bfs_tree
 
 __all__ = [
@@ -55,17 +57,18 @@ def bfs_tree_for_roots(g: CSRGraph, roots) -> BFSTree:
 
 
 def forest_masks(parent: np.ndarray, bfs: BFSTree) -> tuple[np.ndarray, np.ndarray]:
-    """``(fwd, rev)`` boolean masks over nodes.
+    """``(fwd, rev)`` boolean masks over nodes, shaped like ``parent``.
 
-    ``fwd[u]``: the forest edge of ``u`` coincides with its BFS edge
-    (``π_u = p(u)``); ``rev[u]``: the BFS parent's forest edge points back
-    at ``u`` (``π_{p(u)} = u``). Roots are False in both.
+    ``parent`` is one forest's ``(n,)`` parent map or a ``(count, n)``
+    batch. ``fwd[u]``: the forest edge of ``u`` coincides with its BFS
+    edge (``π_u = p(u)``); ``rev[u]``: the BFS parent's forest edge
+    points back at ``u`` (``π_{p(u)} = u``). Roots are False in both.
     """
-    n = len(parent)
+    n = parent.shape[-1]
     nonroot = bfs.parent >= 0
     safe_p = np.where(nonroot, bfs.parent, 0)
     fwd = nonroot & (parent == bfs.parent)
-    rev = nonroot & (parent[safe_p] == np.arange(n))
+    rev = nonroot & (parent[..., safe_p] == np.arange(n))
     return fwd, rev
 
 
@@ -94,46 +97,43 @@ def chunk_stats(
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Sample ``count`` forests (one vectorized batch) and sum contributions.
 
+    The forests come from one ``np.random.default_rng(seed)`` stream.
+
     Returns ``(count, z_sum, z_sq, y_sum_T, root_counts)``; ``y_sum_T``
     is ``(n, w)``. One chunk is the atomic unit of determinism: the same
     ``(seed, count)`` gives the same sums on any executor.
     """
     n = g.n
-    # Sequential per-forest walks (rng keyed by (seed, b)): a lockstep
-    # batch walker that advances all forests' walks together is no faster
-    # on scale-free graphs and suffers straggler blowup on high-diameter
-    # graphs, where each per-source round waits for the slowest of the
-    # batch's walks.
-    forests = [
-        sample_forest(g, bfs.roots, np.random.default_rng([seed, b]))
-        for b in range(count)
-    ]
-    parents = np.stack([p for p, _ in forests])
-    roots_of = np.stack([r for _, r in forests])
-    z_sum = np.zeros(n)
-    z_sq = np.zeros(n)
-    delta_acc = np.zeros_like(W_T) if W_T is not None else None
-    rc = np.zeros((n, n_t)) if n_t else None
-    node_ids = np.arange(n)
-    for b in range(count):
-        parent = parents[b]
-        fwd, rev = forest_masks(parent, bfs)
-        z_f = telescope(bfs, fwd.astype(np.float64) - rev.astype(np.float64))
-        z_sum += z_f
-        z_sq += z_f**2
-        if delta_acc is not None:
-            # Y_f = telescope(delta_f) and telescoping is linear over the
-            # shared BFS tree, so accumulate the (sparse) deltas and
-            # telescope once per chunk instead of once per forest.
-            depth_f = forest_depths(parent)
-            SW_T = subtree_sums_T(parent, depth_f, W_T)
-            fwd_idx = np.nonzero(fwd)[0]
-            rev_idx = np.nonzero(rev)[0]
-            delta_acc[fwd_idx] += SW_T[fwd_idx]
-            delta_acc[rev_idx] -= SW_T[bfs.parent[rev_idx]]
-        if rc is not None:
-            cols = t_col[roots_of[b]]
-            sel = cols >= 0
-            np.add.at(rc, (node_ids[sel], cols[sel]), 1.0)
-    y_sum_T = telescope(bfs, delta_acc) if delta_acc is not None else None
+    # One batch for the whole chunk: the sampler pops the cycles of all
+    # ``count`` forests together, and every pass below runs once per
+    # chunk over ``(count, n)`` arrays or flat ``(forest, node)`` ids.
+    parents, roots_of = sample_forests(g, bfs.roots, np.random.default_rng(seed), count)
+    fwd, rev = forest_masks(parents, bfs)
+    z = telescope(bfs, np.ascontiguousarray((fwd.astype(np.float64) - rev).T))
+    z_sum = z.sum(axis=1)
+    z_sq = (z * z).sum(axis=1)
+    y_sum_T = None
+    if W_T is not None:
+        # Y_f = telescope(delta_f) and telescoping is linear over the
+        # shared BFS tree, so sum the deltas over the chunk's forests and
+        # telescope once.
+        offsets = np.arange(count, dtype=np.int64)[:, None] * n
+        flat_parent = np.where(parents >= 0, parents + offsets, -1).ravel()
+        SW_T = subtree_sums_T(
+            flat_parent, forest_depths(flat_parent), np.tile(W_T, (count, 1))
+        ).reshape(count, n, -1)
+        # delta[u] = Σ_b fwd[b, u]·SW_b[u] − rev[b, u]·SW_b[p(u)], as one
+        # (1 × count) @ (count × w) product per node.
+        safe_p = np.where(bfs.parent >= 0, bfs.parent, 0)
+        by_node = SW_T.transpose(1, 0, 2)  # (n, count, w) view
+        delta = (
+            np.matmul(fwd.T.astype(np.float64)[:, None, :], by_node)
+            - np.matmul(rev.T.astype(np.float64)[:, None, :], by_node[safe_p])
+        )[:, 0]
+        y_sum_T = telescope(bfs, delta)
+    rc = None
+    if n_t:
+        cols = t_col[roots_of]
+        cells = (np.arange(n) * n_t + cols)[cols >= 0]
+        rc = np.bincount(cells, minlength=n * n_t).reshape(n, n_t).astype(np.float64)
     return count, z_sum, z_sq, y_sum_T, rc

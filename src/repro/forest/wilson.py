@@ -1,11 +1,22 @@
-"""Wilson's algorithm for uniform rooted spanning forests (Algorithm 1).
+"""Uniform rooted spanning forests by vectorized cycle popping (Algorithm 1).
 
-The sampler is the cycle-popping formulation of Wilson's loop-erased
-random walk [31]: walk from each unvisited source, overwriting the
-tentative parent pointer at every visit; when the walk hits the forest,
-retracing the parent pointers from the source yields exactly the
-loop-erased path. The distribution over rooted forests with root set
-``S`` is uniform and independent of the source order.
+Wilson's algorithm [31] is one order of Propp & Wilson's cycle popping:
+give every non-root node a stack of uniform random arrows (one neighbor
+each), look at the top arrows, and while they contain a cycle, pop the
+arrows of a cycle's nodes. Cycles of the top arrows are disjoint, and
+the popped set does not depend on the order, so popping *every* current
+cycle at once yields the same uniform forest with root set ``S``.
+
+:func:`sample_forests` does this for a whole batch of forests at once,
+on flat ``(forest, node)`` ids:
+
+1. every non-root draws an arrow;
+2. pointer doubling to ``f^(2^⌈log₂ m⌉)`` over the ``m`` unresolved
+   nodes of a forest tells which nodes reach a root or an already
+   resolved node (they are final, and their root comes with the
+   doubling) and which lie on cycles (the image of the rest);
+3. only the cycle nodes redraw, and the loop repeats on the unresolved
+   nodes until none are left.
 
 The paper's Algorithm 1 additionally returns a reverse-DFS order so the
 counter updates of Algorithms 2–4 can be done in one pass. We instead
@@ -13,6 +24,7 @@ return the parent map and compute depths by vectorized pointer doubling
 (:func:`forest_depths`), which gives the same parent-after-child
 processing discipline as per-depth-level numpy passes
 (:func:`subtree_sums_T`) — equivalent output, vectorized (DESIGN.md §2).
+Both helpers take flat parent maps, so one pass serves a whole batch.
 """
 from __future__ import annotations
 
@@ -22,65 +34,71 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "sample_forest",
+    "sample_forests",
     "forest_depths",
     "subtree_sums_T",
     "depth_buckets",
 ]
 
-_RAND_BLOCK = 8192
 
+def sample_forests(
+    g: CSRGraph, roots: np.ndarray, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``count`` independent uniform spanning forests rooted at ``roots``.
 
-class _BlockRand:
-    """Blocked uniform reals: amortizes numpy RNG call overhead in the walk loop."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._buf = rng.random(_RAND_BLOCK)
-        self._i = 0
-
-    def next(self) -> float:
-        if self._i >= _RAND_BLOCK:
-            self._buf = self._rng.random(_RAND_BLOCK)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+    Returns ``(parents, roots_of)``, both ``(count, n)``:
+    ``parents[b, u]`` is the parent of ``u`` in forest ``b`` (``-1`` for
+    roots) and ``roots_of[b, u]`` the root of ``u``'s tree.
+    """
+    n = g.n
+    indptr, indices, deg = g.indptr, g.indices, g.degrees
+    roots = np.asarray(roots, dtype=np.int64)
+    is_root = np.zeros(n, dtype=bool)
+    is_root[roots] = True
+    offsets = np.arange(count, dtype=np.int64)[:, None] * n
+    parent = np.full(count * n, -1, dtype=np.int64)  # flat ids
+    root_of = np.full(count * n, -1, dtype=np.int64)  # node ids
+    root_of[(offsets + roots).ravel()] = np.tile(roots, count)
+    local = np.full(count * n, -1, dtype=np.int64)  # flat id -> index in todo
+    todo = (offsets + np.flatnonzero(~is_root)).ravel()  # unresolved, ascending
+    draw = todo  # nodes whose arrow is (re)drawn this round
+    while len(todo):
+        node = draw % n
+        pick = (rng.random(len(draw)) * deg[node]).astype(np.int64)
+        parent[draw] = draw - node + indices[indptr[node] + pick]
+        m = len(todo)
+        local[todo] = np.arange(m)
+        # ptr = f^(2^j) over todo's indices 0..m-1, plus one fixed point
+        # m + r per root node r, where a step into a resolved node lands.
+        nxt = parent[todo]
+        ptr = np.concatenate([local[nxt], np.arange(m, m + n)])
+        into = ptr[:m] < 0
+        ptr[:m][into] = m + root_of[nxt[into]]
+        # A chain visits at most a forest's unresolved nodes before it
+        # lands in a root slot or cycles, so after 2^⌈log₂ longest⌉ steps
+        # every unresolved chain ends on its cycle, and the ends are the
+        # cycle nodes.
+        longest = int(np.bincount(todo // n, minlength=count).max())
+        for _ in range((longest - 1).bit_length()):
+            ptr = ptr[ptr]
+        end = ptr[:m]
+        done = end >= m
+        root_of[todo[done]] = end[done] - m
+        local[todo] = -1
+        on_cycle = np.zeros(m, dtype=bool)
+        on_cycle[end[~done]] = True
+        draw = todo[on_cycle]
+        todo = todo[~done]
+    parents = np.where(parent >= 0, parent - offsets.repeat(n), -1).reshape(count, n)
+    return parents, root_of.reshape(count, n)
 
 
 def sample_forest(
     g: CSRGraph, roots: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one uniform spanning forest rooted at ``roots``.
-
-    Returns ``(parent, root_of)``: ``parent[u]`` is the forest parent of
-    ``u`` (``-1`` for roots), ``root_of[u]`` the root of ``u``'s tree.
-    """
-    n = g.n
-    indptr, indices, deg = g.indptr, g.indices, g.degrees
-    parent = np.full(n, -1, dtype=np.int64)
-    root_of = np.full(n, -1, dtype=np.int64)
-    in_forest = np.zeros(n, dtype=bool)
-    in_forest[roots] = True
-    root_of[roots] = roots
-    rand = _BlockRand(rng)
-
-    for u in range(n):
-        if in_forest[u]:
-            continue
-        # Phase 1: random walk with cycle popping (parent overwrite).
-        i = u
-        while not in_forest[i]:
-            j = indices[indptr[i] + int(rand.next() * deg[i])]
-            parent[i] = j
-            i = j
-        r = root_of[i]
-        # Phase 2: freeze the loop-erased path from u.
-        i = u
-        while not in_forest[i]:
-            in_forest[i] = True
-            root_of[i] = r
-            i = parent[i]
-    return parent, root_of
+    """One forest: ``sample_forests(g, roots, rng, 1)[0]`` as ``(parent, root_of)``."""
+    parents, roots_of = sample_forests(g, roots, rng, 1)
+    return parents[0], roots_of[0]
 
 
 def forest_depths(parent: np.ndarray) -> np.ndarray:
@@ -99,14 +117,13 @@ def forest_depths(parent: np.ndarray) -> np.ndarray:
 
 def depth_buckets(depth: np.ndarray) -> list[np.ndarray]:
     """``buckets[d]`` = nodes at depth ``d`` (ascending ids), for level passes."""
-    order = np.argsort(depth, kind="stable")
-    sorted_d = depth[order]
-    out: list[np.ndarray] = []
     maxd = int(depth.max()) if len(depth) else 0
+    # A stable sort keeps equal depths in ascending id order; on the
+    # smallest dtype that holds them, numpy radix-sorts 8- and 16-bit keys.
+    order = np.argsort(depth.astype(np.min_scalar_type(maxd)), kind="stable")
+    sorted_d = depth[order]
     bounds = np.searchsorted(sorted_d, np.arange(maxd + 2))
-    for d in range(maxd + 1):
-        out.append(np.sort(order[bounds[d] : bounds[d + 1]]))
-    return out
+    return [order[bounds[d] : bounds[d + 1]] for d in range(maxd + 1)]
 
 
 def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np.ndarray:
@@ -115,7 +132,8 @@ def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np
     ``X_T`` has shape ``(n, w)``; processes depth levels bottom-up with a
     per-parent segment reduce so siblings sharing a parent accumulate
     correctly. These are the quantities
-    ``Σ_v W_{jv} Ñ_{v,S}^{a→π_a}`` of Algorithm 2 line 9 for one forest.
+    ``Σ_v W_{jv} Ñ_{v,S}^{a→π_a}`` of Algorithm 2 line 9, for every
+    forest of a batch when ``parent`` is a flat ``(forest, node)`` map.
     """
     ST = X_T.copy()
     maxd = int(depth.max()) if len(depth) else 0
@@ -130,7 +148,10 @@ def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np
         par = parent[nodes]
         order = np.argsort(par, kind="stable")
         par_sorted = par[order]
-        uniq, starts = np.unique(par_sorted, return_index=True)
+        new_par = np.empty(len(par_sorted), dtype=bool)
+        new_par[0] = True
+        np.not_equal(par_sorted[1:], par_sorted[:-1], out=new_par[1:])
+        starts = np.flatnonzero(new_par)
         sums = np.add.reduceat(ST[nodes[order]], starts, axis=0)
-        ST[uniq] += sums
+        ST[par_sorted[starts]] += sums
     return ST

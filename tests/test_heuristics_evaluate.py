@@ -66,6 +66,28 @@ class TestEvaluate:
         dist = cfcc_hutchinson(spark, karate, [33], n_probes=32, seed=2)
         assert dist == pytest.approx(local, rel=1e-9)
 
+    def test_groups_share_probes_outside_both(self, karate, monkeypatch):
+        # Every caller uses the default seed, so two groups are evaluated
+        # on the same probe draws, each zeroed on its own group: paired.
+        import repro.core.evaluate as evaluate
+
+        seen: list[np.ndarray] = []
+        solve = evaluate.solve_submatrix
+
+        def recording(g, q, S, **kw):
+            seen.append(q.copy())
+            return solve(g, q, S, **kw)
+
+        monkeypatch.setattr(evaluate, "solve_submatrix", recording)
+        S, S2 = [33, 0], [5, 16, 2]
+        cfcc_hutchinson(None, karate, S, n_probes=8)
+        cfcc_hutchinson(None, karate, S2, n_probes=8)
+        a, b = np.array(seen[:8]), np.array(seen[8:])
+        assert not a[:, S].any() and not b[:, S2].any()
+        outside = np.setdiff1d(np.arange(karate.n), S + S2)
+        np.testing.assert_array_equal(a[:, outside], b[:, outside])
+        assert (np.abs(a[:, outside]) == 1.0).all()
+
     def test_dispatch_small_graph(self, karate):
         assert cfcc_of_set(None, karate, [33]) == pytest.approx(cfcc_dense(karate, [33]))
 

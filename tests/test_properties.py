@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.forest.estimators import bfs_tree_for_roots, telescope
-from repro.forest.wilson import forest_depths, sample_forest
+from repro.forest.wilson import forest_depths, sample_forest, sample_forests
 from repro.graph.csr import CSRGraph, local_bfs_tree
 from repro.graph.generators import canonical_edges, erdos_renyi, is_connected_edges
 from repro.linalg.laplacian import (
@@ -114,6 +114,31 @@ def test_wilson_forest_valid_random(g, seed):
             assert parent[u] in g.neighbors(u)
             assert depth[u] == depth[parent[u]] + 1
             assert root_of[u] == root
+
+
+@settings(max_examples=10, deadline=None)
+@given(connected_graph(), st.integers(0, 10_000), st.integers(1, 4))
+def test_wilson_chunk_valid_random(g, seed, n_roots):
+    rng = np.random.default_rng(seed)
+    roots = rng.choice(g.n, size=min(n_roots, g.n), replace=False)
+    parents, roots_of = sample_forests(g, roots, rng, 16)
+    assert parents.shape == roots_of.shape == (16, g.n)
+    is_root = np.zeros(g.n, dtype=bool)
+    is_root[roots] = True
+    for parent, root_of in zip(parents, roots_of):
+        # n parent steps from every node end at its root: no cycles.
+        v = np.arange(g.n)
+        for _ in range(g.n):
+            v = np.where(parent[v] >= 0, parent[v], v)
+        np.testing.assert_array_equal(v, root_of)
+        assert is_root[root_of].all()
+        depth = forest_depths(parent)
+        for u in range(g.n):
+            if is_root[u]:
+                assert parent[u] == -1 and depth[u] == 0
+            else:
+                assert parent[u] in g.neighbors(u)
+                assert depth[u] == depth[parent[u]] + 1
 
 
 @settings(max_examples=10, deadline=None)

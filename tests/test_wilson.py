@@ -1,10 +1,18 @@
 """Wilson sampler: structural validity, distribution, helpers."""
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.forest.wilson import depth_buckets, forest_depths, sample_forest, subtree_sums_T
+from repro.experiments.graphs import build_graph
+from repro.forest.wilson import (
+    depth_buckets,
+    forest_depths,
+    sample_forest,
+    sample_forests,
+    subtree_sums_T,
+)
 from repro.graph.csr import CSRGraph
 
 
@@ -77,6 +85,76 @@ class TestSampleForest:
             parent, root_of = sample_forest(g, np.array([0, 2]), np.random.default_rng(s))
             counts[int(root_of[1])] += 1
         assert abs(counts[0] / N - 0.5) < 0.04
+
+
+def _rooted_forests(g: CSRGraph, roots) -> list[tuple[int, ...]]:
+    """Every spanning forest rooted at ``roots``, as its tuple of parents."""
+    roots = set(roots)
+    choices = [[-1] if u in roots else g.neighbors(u).tolist() for u in range(g.n)]
+    out = []
+    for parent in itertools.product(*choices):
+        ok = True
+        for u in range(g.n):
+            v, steps = u, 0
+            while parent[v] != -1 and steps <= g.n:
+                v, steps = parent[v], steps + 1
+            ok &= parent[v] == -1
+        if ok:
+            out.append(parent)
+    return out
+
+
+class TestChunkSampler:
+    # 5-cycle with chords (0, 2) and (1, 3): 24 spanning trees rooted at {0},
+    # 16 spanning forests rooted at {0, 3}.
+    CHORDED = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2], [1, 3]])
+
+    @pytest.mark.parametrize("roots, n_forests", [([0], 24), ([0, 3], 16)])
+    def test_uniform_over_all_forests(self, roots, n_forests):
+        g = CSRGraph.from_edges(self.CHORDED, 5)
+        forests = _rooted_forests(g, roots)
+        assert len(forests) == n_forests
+        index = {f: i for i, f in enumerate(forests)}
+        counts = np.zeros(n_forests)
+        chunks, per_chunk = 2000, 16
+        for c in range(chunks):
+            parents, _ = sample_forests(g, np.array(roots), np.random.default_rng([11, c]), per_chunk)
+            for p in parents:
+                counts[index[tuple(int(x) for x in p)]] += 1
+        expected = chunks * per_chunk / n_forests
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        dof = n_forests - 1
+        assert (chi2 - dof) / np.sqrt(2 * dof) < 4.0
+
+    @pytest.mark.parametrize("roots", [[33], [0, 5, 16, 25, 33]])
+    def test_every_forest_of_a_chunk_is_valid_karate(self, karate, roots):
+        roots = np.array(roots)
+        parents, roots_of = sample_forests(karate, roots, np.random.default_rng(4), 16)
+        assert parents.shape == roots_of.shape == (16, karate.n)
+        for parent, root_of in zip(parents, roots_of):
+            _check_forest(karate, roots, parent, root_of)
+
+    def test_every_forest_of_a_chunk_is_valid_road(self):
+        # High diameter and one root: the most popping rounds.
+        g = build_graph("road-1000")
+        roots = np.array([int(np.argmax(g.degrees))])
+        parents, roots_of = sample_forests(g, roots, np.random.default_rng(2), 16)
+        for parent, root_of in zip(parents, roots_of):
+            _check_forest(g, roots, parent, root_of)
+
+    def test_same_seed_and_count_same_arrays(self, karate):
+        roots = np.array([0, 33])
+        a = sample_forests(karate, roots, np.random.default_rng(9), 16)
+        b = sample_forests(karate, roots, np.random.default_rng(9), 16)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_single_forest_is_first_of_batch(self, karate):
+        roots = np.array([33])
+        parent, root_of = sample_forest(karate, roots, np.random.default_rng(5))
+        parents, roots_of = sample_forests(karate, roots, np.random.default_rng(5), 1)
+        np.testing.assert_array_equal(parent, parents[0])
+        np.testing.assert_array_equal(root_of, roots_of[0])
 
 
 class TestForestDepths:
