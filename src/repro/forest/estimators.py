@@ -94,12 +94,12 @@ def chunk_stats(
     n_t: int,
     seed: int,
     count: int,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Sample ``count`` forests (one vectorized batch) and sum contributions.
 
     The forests come from one ``np.random.default_rng(seed)`` stream.
 
-    Returns ``(count, z_sum, z_sq, y_sum_T, root_counts)``; ``y_sum_T``
+    Returns ``(count, z_sum, y_sum_T, root_counts)``; ``y_sum_T``
     is ``(n, w)``. One chunk is the atomic unit of determinism: the same
     ``(seed, count)`` gives the same sums on any executor.
     """
@@ -111,7 +111,6 @@ def chunk_stats(
     fwd, rev = forest_masks(parents, bfs)
     z = telescope(bfs, np.ascontiguousarray((fwd.astype(np.float64) - rev).T))
     z_sum = z.sum(axis=1)
-    z_sq = (z * z).sum(axis=1)
     y_sum_T = None
     if W_T is not None:
         # Y_f = telescope(delta_f) and telescoping is linear over the
@@ -136,4 +135,4 @@ def chunk_stats(
         cols = t_col[roots_of]
         cells = (np.arange(n) * n_t + cols)[cols >= 0]
         rc = np.bincount(cells, minlength=n * n_t).reshape(n, n_t).astype(np.float64)
-    return count, z_sum, z_sq, y_sum_T, rc
+    return count, z_sum, y_sum_T, rc

@@ -102,17 +102,27 @@ def sample_forest(
 
 
 def forest_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every node in its tree, by pointer doubling (O(log depth) passes)."""
+    """Depth of every node in its tree, by pointer doubling (O(log depth) passes).
+
+    Raises ``ValueError`` if some node's parent chain never reaches a root
+    (the map has a cycle).
+    """
     n = len(parent)
     is_root = parent < 0
     depth = (~is_root).astype(np.int64)
     ptr = np.where(is_root, np.arange(n, dtype=np.int64), parent)
-    while True:
+    # A chain has at most n - 1 edges: ⌈log₂ n⌉ passes reach every root,
+    # and one more pass sees the depths stop changing.
+    for _ in range((n - 1).bit_length() + 1):
         new_depth = depth + depth[ptr]
         if np.array_equal(new_depth, depth):
             return depth
         depth = new_depth
         ptr = ptr[ptr]
+    raise ValueError(
+        f"{int((~is_root[ptr]).sum())} of {n} nodes never reach a root; "
+        "the parent map has a cycle"
+    )
 
 
 def depth_buckets(depth: np.ndarray) -> list[np.ndarray]:

@@ -38,17 +38,7 @@ def params_fast() -> Params:
     return Params(
         eps=0.3,
         jl_coeff=1.0,
-        sample=SampleConfig(batch0=256, r_coeff=8, max_rounds=3),
-    )
-
-
-@pytest.fixture()
-def params_accurate() -> Params:
-    """Higher-sample preset for estimator-accuracy assertions."""
-    return Params(
-        eps=0.2,
-        jl_coeff=2.0,
-        sample=SampleConfig(batch0=1024, r_coeff=60, max_rounds=3),
+        sample=SampleConfig(r_coeff=8),
     )
 
 

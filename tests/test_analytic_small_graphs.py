@@ -15,7 +15,7 @@ from repro.forest.distributed import SampleConfig
 from repro.graph.csr import CSRGraph
 from repro.linalg.laplacian import laplacian_dense, trace_l_sub_inv
 
-FAST = Params(eps=0.3, sample=SampleConfig(batch0=512, r_coeff=20, max_rounds=2))
+FAST = Params(eps=0.3, sample=SampleConfig(r_coeff=20))
 
 
 def star(n: int) -> CSRGraph:

@@ -1,9 +1,9 @@
 """Spark fan-out of forest sampling and solver tasks.
 
 Verifies the RDD path produces exactly the statistics the local path
-produces (same seeds), is deterministic, that a tail round shorter
-than the round before it shares that round's Spark job, and that full
-algorithm runs work through Spark.
+produces (same seeds), is deterministic, that a sampling call draws its
+whole forest budget in one Spark job, and that full algorithm runs work
+through Spark.
 """
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from repro.forest.distributed import SampleConfig, adaptive_forest_stats
 
 
 def _cfg() -> SampleConfig:
-    return SampleConfig(batch0=128, r_coeff=4, max_rounds=2)
+    return SampleConfig(r_coeff=4)
 
 
 def _sample_counting_jobs(spark, g, group: str, config: SampleConfig):
@@ -30,33 +30,13 @@ def _sample_counting_jobs(spark, g, group: str, config: SampleConfig):
     return stats, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
-class TestRoundPlan:
-    # karate at eps=0.3: cap = ceil(r_coeff * eps^-2 * log2(68)) = 143,
-    # so the doubling plan is 128 + 15.
-    TAIL = SampleConfig(batch0=128, r_coeff=2.1, max_rounds=4)
-
-    def test_short_tail_joins_first_job(self, spark, karate):
-        cap = self.TAIL.max_forests(karate.n, 0.3)
-        assert self.TAIL.batch0 < cap < 2 * self.TAIL.batch0
-        stats, jobs = _sample_counting_jobs(spark, karate, "round-plan-tail", self.TAIL)
+class TestSampleBudget:
+    def test_whole_budget_in_one_job(self, spark, karate):
+        # karate at eps=0.3: cap = ceil(8 * eps^-2 * log2(68)) = 542 forests.
+        config = SampleConfig(r_coeff=8)
+        stats, jobs = _sample_counting_jobs(spark, karate, "sample-budget", config)
         assert jobs == 1
-        assert stats.n_forests == cap
-
-    def test_long_tail_runs_its_own_job(self, spark, karate):
-        # _cfg draws 128 + 143: the second round is not shorter, so it keeps its job.
-        stats, jobs = _sample_counting_jobs(spark, karate, "round-plan-two", _cfg())
-        assert jobs == 2
-        assert stats.n_forests == 271
-
-    def test_folded_stats_equal_single_round(self, spark, karate):
-        # batch0 = cap draws the same (seed, count) chunks in one round.
-        cap = self.TAIL.max_forests(karate.n, 0.3)
-        one = SampleConfig(batch0=cap, r_coeff=self.TAIL.r_coeff, max_rounds=1)
-        folded, _ = adaptive_forest_stats(spark, karate, [33], None, 0.3, seed=4, config=self.TAIL)
-        single, _ = adaptive_forest_stats(None, karate, [33], None, 0.3, seed=4, config=one)
-        assert folded.n_forests == single.n_forests == cap
-        np.testing.assert_allclose(folded.z_sum, single.z_sum, atol=1e-9)
-        np.testing.assert_allclose(folded.z_sq, single.z_sq, atol=1e-9)
+        assert stats.n_forests == 542
 
 
 class TestSparkSampling:
@@ -66,7 +46,6 @@ class TestSparkSampling:
         dist, _ = adaptive_forest_stats(spark, karate, [33], None, 0.3, seed=11, config=_cfg())
         assert loc.n_forests == dist.n_forests
         np.testing.assert_allclose(loc.z_sum, dist.z_sum, atol=1e-9)
-        np.testing.assert_allclose(loc.z_sq, dist.z_sq, atol=1e-9)
 
     def test_matches_local_with_weights(self, spark, karate):
         rng = np.random.default_rng(0)
@@ -94,7 +73,7 @@ class TestSparkSampling:
 
 @pytest.fixture()
 def spark_params() -> Params:
-    return Params(eps=0.3, sample=SampleConfig(batch0=128, r_coeff=4, max_rounds=2))
+    return Params(eps=0.3, sample=SampleConfig(r_coeff=4))
 
 
 class TestAlgorithmsOnSpark:
@@ -111,9 +90,7 @@ class TestAlgorithmsOnSpark:
         assert len(set(res.S)) == 3
 
     def test_forest_spark_equals_local(self, spark, karate, spark_params):
-        local_params = Params(
-            eps=0.3, sample=SampleConfig(batch0=128, r_coeff=4, max_rounds=2)
-        )
+        local_params = Params(eps=0.3, sample=SampleConfig(r_coeff=4))
         a = forest_cfcm(spark, karate, 3, spark_params)
         b = forest_cfcm(None, karate, 3, local_params)
         assert a.S == b.S  # identical seeds → identical selections

@@ -9,7 +9,7 @@ from repro.core.params import Params
 from repro.forest.distributed import SampleConfig
 from repro.linalg.laplacian import laplacian_dense, marginal_gain_all_exact
 
-ACC = Params(eps=0.2, jl_coeff=2.0, sample=SampleConfig(batch0=2048, r_coeff=100, max_rounds=2))
+ACC = Params(eps=0.2, jl_coeff=2.0, sample=SampleConfig(r_coeff=41))  # 6240 forests on karate
 
 
 class TestForestDelta:
@@ -60,7 +60,7 @@ class TestForestCFCM:
     def test_beats_degree_heuristic(self, ba200):
         from repro.core.heuristics import degree_baseline
 
-        params = Params(eps=0.25, sample=SampleConfig(batch0=512, r_coeff=20, max_rounds=3))
+        params = Params(eps=0.25, sample=SampleConfig(r_coeff=20))
         res = forest_cfcm(None, ba200, 5, params)
         assert cfcc_dense(ba200, res.S) >= 0.99 * cfcc_dense(ba200, degree_baseline(ba200, 5))
 

@@ -19,13 +19,9 @@ class TestSampleConfig:
         cfg = SampleConfig()
         assert cfg.max_forests(10**6, 0.2) > cfg.max_forests(100, 0.2)
 
-    def test_min_forests_floor(self):
-        cfg = SampleConfig(min_forests=500, r_coeff=1e-6)
-        assert cfg.max_forests(100, 0.5) == 500
-
     def test_frozen(self):
         with pytest.raises(Exception):
-            SampleConfig().batch0 = 1
+            SampleConfig().r_coeff = 1
 
 
 class TestParams:

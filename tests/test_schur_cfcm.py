@@ -14,8 +14,8 @@ from repro.core.schur_cfcm import (
 from repro.forest.distributed import SampleConfig, adaptive_forest_stats
 from repro.linalg.laplacian import laplacian_dense, marginal_gain_all_exact, schur_complement
 
-ACC = Params(eps=0.2, jl_coeff=2.0, sample=SampleConfig(batch0=2048, r_coeff=100, max_rounds=2))
-BIG = SampleConfig(batch0=4096, r_coeff=1e9, max_rounds=1)
+ACC = Params(eps=0.2, jl_coeff=2.0, sample=SampleConfig(r_coeff=41))  # 6240 forests on karate
+BIG = SampleConfig(r_coeff=27)  # 4110 forests on karate at eps=0.2
 
 
 class TestSelectT:

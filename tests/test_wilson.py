@@ -171,6 +171,12 @@ class TestForestDepths:
         parent = np.arange(-1, n - 1)
         assert forest_depths(parent).tolist() == list(range(n))
 
+    @pytest.mark.parametrize("parent", [[-1, 2, 1], [1, 0]])
+    def test_cycle_raises(self, parent):
+        # Nodes 1 and 2 point at each other beside root 0; then a rootless 2-cycle.
+        with pytest.raises(ValueError, match="2 of .* nodes never reach a root"):
+            forest_depths(np.array(parent))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_consistent_with_parent(self, karate, seed):
         parent, _ = sample_forest(karate, np.array([33]), np.random.default_rng(seed))
