@@ -21,6 +21,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.forest_cfcm import GreedyResult
 from repro.core.params import Params
+from repro.fanout import fan_out
 from repro.graph.csr import CSRGraph
 from repro.linalg.cg import solve_pinv, solve_submatrix
 
@@ -47,20 +48,7 @@ def _solve_rows(
     Each element of ``rhs_pairs`` is ``(b_num, b_den)``; ``b_den`` may be
     None (first iteration needs only the pseudoinverse solves).
     """
-
-    if spark is None:
-        return [_task_solve(g, p, S, tol) for p in rhs_pairs]
-    sc = spark.sparkContext
-    g_bc = sc.broadcast(g)
-    try:
-        out = (
-            sc.parallelize(rhs_pairs, numSlices=min(len(rhs_pairs), sc.defaultParallelism))
-            .map(lambda p: _task_solve(g_bc.value, p, S, tol))
-            .collect()
-        )
-    finally:
-        g_bc.destroy()
-    return out
+    return fan_out(spark, g, rhs_pairs, lambda g, p: _task_solve(g, p, S, tol))
 
 
 def _task_solve(g: CSRGraph, pair, S, tol):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.fanout import fan_out
 from repro.graph.csr import CSRGraph
 from repro.linalg.cg import solve_submatrix
 from repro.linalg.laplacian import cfcc_group, laplacian_dense
@@ -45,22 +46,7 @@ def cfcc_hutchinson(
     rng = np.random.default_rng(seed)
     probes = [np.where(mask, 0.0, rng.choice(np.array([-1.0, 1.0]), size=g.n)) for _ in range(n_probes)]
 
-    def quad(q: np.ndarray) -> float:
-        return float(q @ solve_submatrix(g, q, S, tol=tol))
-
-    if spark is None:
-        vals = [quad(q) for q in probes]
-    else:
-        sc = spark.sparkContext
-        g_bc = sc.broadcast(g)
-        try:
-            vals = (
-                sc.parallelize(probes, numSlices=min(n_probes, sc.defaultParallelism))
-                .map(lambda q: float(q @ solve_submatrix(g_bc.value, q, S, tol=tol)))
-                .collect()
-            )
-        finally:
-            g_bc.destroy()
+    vals = fan_out(spark, g, probes, lambda g, q: float(q @ solve_submatrix(g, q, S, tol=tol)))
     return g.n / float(np.mean(vals))
 
 

@@ -1,16 +1,16 @@
 """Spark fan-out of forest sampling: one fixed forest budget, one Spark job.
 
 Implements the ``for i = 1..2^{r'} do in parallel`` loops of Algorithms
-2–5: forest *chunks* (a seed plus a count) are ``parallelize``-d, each
-Spark task runs the cycle-popping sampler against the broadcast CSR graph and
-accumulates dense counter arrays (sums of the per-forest contributions
-of ``repro.forest.estimators``), and partitions are combined with
-``treeReduce``. Shuffle volume per call is O(w·n),
-independent of the number of forests. A chunk is the atomic determinism
-unit: every chunk's sums are identical on any executor. With
-``spark=None`` the driver folds the same chunks with the same function,
-so local and Spark runs differ only in the order partition sums are
-added (last-bit float differences).
+2–5: forest *chunks* (a seed plus a count) are fanned out with
+:func:`repro.fanout.fan_out`. Each Spark task runs the cycle-popping
+sampler against the broadcast payload (CSR graph, BFS tree, weights) and
+sums dense counter arrays (the per-forest contributions of
+``repro.forest.estimators``); partitions are combined with
+``treeReduce``. Shuffle volume per call is O(w·n), independent of the
+number of forests. A chunk is the atomic determinism unit: every chunk's
+sums are identical on any executor. With ``spark=None`` the driver folds
+the same chunks with the same function, so local and Spark runs differ
+only in the order partition sums are added (last-bit float differences).
 
 A call draws exactly ``SampleConfig.max_forests(n, eps)`` =
 ⌈r_c·ε⁻²·log₂ 2n⌉ forests in one Spark job. This deviates from the
@@ -18,17 +18,19 @@ paper, which samples in doubling rounds and stops once the empirical
 Bernstein bound of Lemma 3.6 is met: at the default ``r_c`` that stop
 never fired before the cap (84 calls: 7 graphs × 3 root sets × ε ∈
 {0.4, 0.3, 0.2, 0.15}), so the rounds decided nothing and only added a
-Spark job each (a fixed cost of about 0.25 s on 4 local cores). See
+Spark job each. On 4 local cores a trivial job then cost about 0.35 s,
+0.23 s of it each Python task re-reading ``pyspark.zip`` and the Spark
+jar; since ``repro.fanout`` stops that, a job costs about 0.12 s. See
 DESIGN.md §5.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.fanout import fan_out
 from repro.forest.estimators import BFSTree, bfs_tree_for_roots, chunk_stats
 from repro.graph.csr import CSRGraph
 
@@ -88,29 +90,10 @@ class SampleConfig:
         return int(np.ceil(self.r_coeff * eps**-2 * np.log2(2 * max(n, 2))))
 
 
-def _fold_chunks(payload: tuple, chunks: Iterable[tuple[int, int]]) -> ForestStats | None:
-    """Sum the stats of ``chunks`` in order; the one runner for both paths."""
+def _chunk(payload: tuple, chunk: tuple[int, int]) -> ForestStats:
+    """Stats of one ``(seed, count)`` chunk: the unit every task runs."""
     g, bfs, W_T, t_col, n_t = payload
-    acc: ForestStats | None = None
-    for seed, count in chunks:
-        stats = ForestStats(*chunk_stats(g, bfs, W_T, t_col, n_t, seed, count))
-        acc = stats if acc is None else acc.add(stats)
-    return acc
-
-
-def _run_chunks_spark(
-    spark: SparkSession, payload_bc, chunks: list[tuple[int, int]]
-) -> ForestStats:
-    sc = spark.sparkContext
-    slices = min(len(chunks), max(2, sc.defaultParallelism))
-
-    def part(it):
-        acc = _fold_chunks(payload_bc.value, it)
-        if acc is not None:
-            yield acc
-
-    rdd = sc.parallelize(chunks, numSlices=slices).mapPartitions(part)
-    return rdd.treeReduce(lambda a, b: a.add(b))
+    return ForestStats(*chunk_stats(g, bfs, W_T, t_col, n_t, *chunk))
 
 
 def adaptive_forest_stats(
@@ -147,10 +130,4 @@ def adaptive_forest_stats(
     base_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
     chunks = [(base_seed + o, min(_CHUNK, cap - o)) for o in range(0, cap, _CHUNK)]
     payload = (g, bfs, W_T, t_col, n_t)
-    if spark is None:
-        return _fold_chunks(payload, chunks), bfs
-    payload_bc = spark.sparkContext.broadcast(payload)
-    try:
-        return _run_chunks_spark(spark, payload_bc, chunks), bfs
-    finally:
-        payload_bc.destroy()
+    return fan_out(spark, payload, chunks, _chunk, ForestStats.add), bfs

@@ -1,9 +1,9 @@
 """Compact CSR adjacency used inside Spark tasks.
 
 A :class:`CSRGraph` is a frozen numpy CSR of an undirected simple graph.
-It is small (two int arrays), picklable, and broadcast once per graph to
-all executors; every random-walk / BFS / matvec kernel in this repo runs
-against it. Construction accepts either a canonical numpy edge array or a
+It is small (two int arrays), picklable, and broadcast to the executors
+with every Spark job (``repro.fanout``); every random-walk / BFS /
+matvec kernel in this repo runs against it. Construction accepts either a canonical numpy edge array or a
 Spark edge DataFrame (``src``/``dst`` columns).
 """
 from __future__ import annotations
