@@ -10,16 +10,18 @@ for the substitution rationale):
 
 i.e. ``2w`` linear systems per greedy iteration — the ``Õ(k ε⁻³ m)``
 regime whose ``m``-dominated cost Table II exhibits. The ``w`` solves are
-fanned out over Spark tasks against the broadcast CSR graph.
+fanned out over Spark tasks against the broadcast CSR graph, one Spark job
+per iteration. The greedy loop and the ``Δ'`` read-out are FORESTCFCM's
+(``greedy`` and ``floored_gains`` in :mod:`repro.core.forest_cfcm`).
 """
 from __future__ import annotations
 
-import time
+import functools
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.forest_cfcm import GreedyResult
+from repro.core.forest_cfcm import GreedyResult, floored_gains, greedy
 from repro.core.params import Params
 from repro.fanout import fan_out
 from repro.graph.csr import CSRGraph
@@ -36,30 +38,10 @@ def _incidence_transpose_apply(edges: np.ndarray, q: np.ndarray, n: int) -> np.n
     return out
 
 
-def _solve_rows(
-    spark: SparkSession | None,
-    g: CSRGraph,
-    rhs_pairs: list[tuple[np.ndarray, np.ndarray | None]],
-    S: list[int] | None,
-    tol: float,
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Solve one (or two) systems per JL row, distributed over Spark tasks.
-
-    Each element of ``rhs_pairs`` is ``(b_num, b_den)``; ``b_den`` may be
-    None (first iteration needs only the pseudoinverse solves).
-    """
-    return fan_out(spark, g, rhs_pairs, lambda g, p: _task_solve(g, p, S, tol))
-
-
 def _task_solve(g: CSRGraph, pair, S, tol):
-    b_num, b_den = pair
-    if S is None:
-        y_num = solve_pinv(g, b_num, tol=tol)
-        y_den = None if b_den is None else solve_pinv(g, b_den, tol=tol)
-    else:
-        y_num = solve_submatrix(g, b_num, S, tol=tol)
-        y_den = None if b_den is None else solve_submatrix(g, b_den, S, tol=tol)
-    return y_num, y_den
+    """Both systems of one JL row; ``S is None`` means ``L†`` (first iteration)."""
+    solve = solve_pinv if S is None else functools.partial(solve_submatrix, S=S)
+    return tuple(None if b is None else solve(g, b, tol=tol) for b in pair)
 
 
 def jl_diag_estimates(
@@ -90,7 +72,7 @@ def jl_diag_estimates(
             p = rng.choice(np.array([-1.0, 1.0]), size=n) / np.sqrt(w)
             p[np.asarray(S, dtype=np.int64)] = 0.0
             rhs_pairs.append((p, b_den))
-    sols = _solve_rows(spark, g, rhs_pairs, S, params.cg_tol)
+    sols = fan_out(spark, g, rhs_pairs, lambda g, p: _task_solve(g, p, S, params.cg_tol))
     if S is None:
         Y = np.stack([y for y, _ in sols])  # rows q_jᵀ B L†
         return np.einsum("ij,ij->j", Y, Y), None
@@ -107,15 +89,13 @@ def approx_greedy(
 ) -> GreedyResult:
     """APPROXGREEDY: greedy CFCM with JL + Laplacian-solver gain estimates."""
     params = params or Params()
-    if not 1 <= k < g.n:
-        raise ValueError("need 1 <= k < n")
-    t0 = time.perf_counter()
-    diag_pinv, _ = jl_diag_estimates(spark, g, None, params, seed=params.seed)
-    S = [int(np.argmin(diag_pinv))]
-    for i in range(1, k):
-        num, den = jl_diag_estimates(spark, g, S, params, seed=params.seed + 1000 * i)
-        den = np.maximum(den, 1.0 / np.maximum(g.degrees, 1))
-        delta = num / den
-        delta[np.asarray(S, dtype=np.int64)] = -np.inf
-        S.append(int(np.argmax(delta)))
-    return GreedyResult(S=S, seconds=time.perf_counter() - t0)
+
+    def first() -> tuple[np.ndarray, int]:
+        diag_pinv, _ = jl_diag_estimates(spark, g, None, params, seed=params.seed)
+        return diag_pinv, 0
+
+    def step(S: list[int], seed: int) -> tuple[np.ndarray, int]:
+        num, den = jl_diag_estimates(spark, g, S, params, seed=seed)
+        return floored_gains(g, S, num, den), 0
+
+    return greedy(g, k, params, first, step)

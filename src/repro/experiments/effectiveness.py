@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
+from repro.core import evaluate
 from repro.core.approx import approx_greedy
 from repro.core.evaluate import cfcc_of_set, relative_difference
 from repro.core.exact import brute_force_optimum, exact_greedy
 from repro.core.forest_cfcm import forest_cfcm
-from repro.core.heuristics import degree_baseline, top_cfcc_exact
+from repro.core.heuristics import degree_baseline, top_cfcc_exact, top_cfcc_sampled
 from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
 from repro.experiments.graphs import build_graph
@@ -76,19 +77,25 @@ def run_fig23(
     ks: list[int] | None = None,
     log=print,
 ) -> list[CfccRow]:
-    """Effectiveness trajectories incl. heuristics (Figs. 2–3)."""
+    """Effectiveness trajectories incl. heuristics (Figs. 2–3).
+
+    TOP-CFCC is exact up to ``evaluate._DENSE_LIMIT`` nodes and sampled
+    (``top_cfcc_sampled``) above it.
+    """
     ks = ks or [1, 5, 10, 15, 20]
     rows: list[CfccRow] = []
     for name in graphs:
         g = build_graph(name)
         log(f"[fig23] {name} (n={g.n})")
+        p = Params(eps=eps)
+        dense = g.n <= evaluate._DENSE_LIMIT
         sols = {
             "DEGREE": degree_baseline(g, k),
-            "TOP-CFCC": top_cfcc_exact(g, k) if g.n <= 3000 else degree_baseline(g, k),
+            "TOP-CFCC": top_cfcc_exact(g, k) if dense else top_cfcc_sampled(spark, g, k, p),
             "EXACT": exact_greedy(g, k).S if g.n <= 2500 else None,
-            "APPROX": approx_greedy(spark, g, k, Params(eps=eps)).S,
-            "FOREST": forest_cfcm(spark, g, k, Params(eps=eps)).S,
-            "SCHUR": schur_cfcm(spark, g, k, Params(eps=eps)).S,
+            "APPROX": approx_greedy(spark, g, k, p).S,
+            "FOREST": forest_cfcm(spark, g, k, p).S,
+            "SCHUR": schur_cfcm(spark, g, k, p).S,
         }
         per_algo = {
             a: _prefix_cfcc(spark, g, S, ks) for a, S in sols.items() if S is not None

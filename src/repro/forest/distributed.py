@@ -46,15 +46,14 @@ class ForestStats:
     n_forests: int
     z_sum: np.ndarray  # (n,)   Σ_f z_f
     y_sum: np.ndarray | None  # (n, w) Σ_f Y_f (row-major)
-    root_counts: np.ndarray | None  # (n, |T|) Σ_f 1[ρ_u = t]
+    root_counts: np.ndarray  # (n, |T|) Σ_f 1[ρ_u = t]; n × 0 without T
 
     def add(self, other: "ForestStats") -> "ForestStats":
         self.n_forests += other.n_forests
         self.z_sum += other.z_sum
         if self.y_sum is not None:
             self.y_sum += other.y_sum
-        if self.root_counts is not None:
-            self.root_counts += other.root_counts
+        self.root_counts += other.root_counts
         return self
 
     # --- Estimates -------------------------------------------------------

@@ -94,14 +94,15 @@ def chunk_stats(
     n_t: int,
     seed: int,
     count: int,
-) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]:
     """Sample ``count`` forests (one vectorized batch) and sum contributions.
 
     The forests come from one ``np.random.default_rng(seed)`` stream.
 
     Returns ``(count, z_sum, y_sum_T, root_counts)``; ``y_sum_T``
-    is ``(n, w)``. One chunk is the atomic unit of determinism: the same
-    ``(seed, count)`` gives the same sums on any executor.
+    is ``(n, w)`` and ``root_counts`` is ``(n, n_t)`` (``t_col`` may be
+    None when ``n_t`` is 0). One chunk is the atomic unit of determinism:
+    the same ``(seed, count)`` gives the same sums on any executor.
     """
     n = g.n
     # One batch for the whole chunk: the sampler pops the cycles of all
@@ -130,7 +131,7 @@ def chunk_stats(
             - np.matmul(rev.T.astype(np.float64)[:, None, :], by_node[safe_p])
         )[:, 0]
         y_sum_T = telescope(bfs, delta)
-    rc = None
+    rc = np.zeros((n, n_t))
     if n_t:
         cols = t_col[roots_of]
         cells = (np.arange(n) * n_t + cols)[cols >= 0]

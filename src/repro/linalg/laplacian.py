@@ -67,7 +67,7 @@ def trace_l_sub_inv(L: np.ndarray, S) -> float:
     """``Tr(L_{-S}^{-1})`` — the reciprocal of ``C(S)/n`` (eq. 3)."""
     keep = keep_indices(L.shape[0], S)
     sub = L[np.ix_(keep, keep)]
-    # Solve instead of inverting: trace = sum of diag of the inverse.
+    # Dense inverse: the trace needs every diagonal entry of it.
     return float(np.trace(np.linalg.inv(sub)))
 
 

@@ -108,6 +108,18 @@ class TestEffectivenessHarnesses:
         # C(S) grows with k for greedy algorithms.
         assert rows[1].values["EXACT"] > rows[0].values["EXACT"]
 
+    def test_fig23_samples_top_cfcc_above_dense_limit(self, monkeypatch):
+        from repro.core import evaluate
+        from repro.core.heuristics import degree_baseline, top_cfcc_sampled
+        from repro.core.params import Params
+
+        monkeypatch.setattr(evaluate, "_DENSE_LIMIT", 10)
+        g = build_graph("karate")
+        (row,) = run_fig23(None, graphs=["karate"], k=4, eps=0.3, ks=[4], log=lambda *a: None)
+        top = top_cfcc_sampled(None, g, 4, Params(eps=0.3))
+        assert set(top) != set(degree_baseline(g, 4))
+        assert row.values["TOP-CFCC"] == evaluate.cfcc_of_set(None, g, top)
+
     def test_fig5_miniature(self):
         rows = run_fig5(
             None, graphs=["karate"], k=3, eps_grid=(0.3,), log=lambda *a: None
