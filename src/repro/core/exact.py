@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.core.forest_cfcm import GreedyResult
+from repro.core.forest_cfcm import GreedyResult, check_input
 from repro.graph.csr import CSRGraph
 from repro.linalg.laplacian import (
     laplacian_dense,
@@ -32,8 +32,7 @@ __all__ = ["exact_greedy", "brute_force_optimum"]
 
 def exact_greedy(g: CSRGraph, k: int) -> GreedyResult:
     """Greedy CFCM with exact marginal gains (the paper's EXACT)."""
-    if not 1 <= k < g.n:
-        raise ValueError("need 1 <= k < n")
+    check_input(g, k)
     t0 = time.perf_counter()
     L = laplacian_dense(g)
     diag_pinv = np.diag(laplacian_pinv(L))

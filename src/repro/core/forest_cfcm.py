@@ -14,8 +14,10 @@ FORESTDELTA (Algorithm 2) is the ``T = ∅`` case of SCHURDELTA
 run one body, ``_schur_delta``, with ``T`` possibly empty.
 
 :func:`greedy` is the one loop of FORESTCFCM, SCHURCFCM and
-APPROXGREEDY: the ``k`` check, the timer, the seed schedule and the
-picks. EXACT keeps its own loop, which carries a downdated inverse.
+APPROXGREEDY: the timer, the seed schedule and the picks. EXACT keeps
+its own loop, which carries a downdated inverse. Both loops start with
+:func:`check_input`, so a bad ``k`` or a disconnected graph fails the
+same way in all four algorithms.
 """
 from __future__ import annotations
 
@@ -28,10 +30,11 @@ from pyspark.sql import SparkSession
 
 from repro.core.params import Params
 from repro.forest.distributed import adaptive_forest_stats
+from repro.forest.estimators import bfs_tree_for_roots
 from repro.graph.csr import CSRGraph
 from repro.linalg.jl import rademacher_matrix
 
-__all__ = ["GreedyResult", "greedy", "floored_gains", "first_node_scores",
+__all__ = ["GreedyResult", "check_input", "greedy", "floored_gains", "first_node_scores",
            "schur_complement_from_counts", "forest_delta", "forest_cfcm"]
 
 
@@ -42,6 +45,13 @@ class GreedyResult:
     S: list[int]
     seconds: float
     forests_per_iter: list[int] = field(default_factory=list)
+
+
+def check_input(g: CSRGraph, k: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= k < n`` and ``g`` is connected."""
+    if not 1 <= k < g.n:
+        raise ValueError("need 1 <= k < n")
+    bfs_tree_for_roots(g, [0])  # raises on unreachable nodes
 
 
 def greedy(
@@ -58,8 +68,7 @@ def greedy(
     and the next node maximizes ``Δ'``; iteration ``i`` gets the seed
     ``params.seed + 1000·i``.
     """
-    if not 1 <= k < g.n:
-        raise ValueError("need 1 <= k < n")
+    check_input(g, k)
     t0 = time.perf_counter()
     scores, n_f = first()
     S = [int(np.argmin(scores))]

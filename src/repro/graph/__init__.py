@@ -1,11 +1,10 @@
-"""Graph substrate: generators, CSR adjacency, and Spark DataFrame ops.
+"""Graph substrate: generators and CSR adjacency.
 
-The paper evaluates on real-world graphs (KONECT/SNAP/Network Repository).
-This package supplies the synthetic stand-ins (scale-free, small-world,
-road-like, grid) plus Zachary's karate club, a compact CSR representation
-used inside Spark tasks for random walks, and DataFrame/Catalyst
-implementations of the relational graph operations (degrees, hubs,
-connected components).
+The paper evaluates on the largest connected components of real-world
+graphs (KONECT/SNAP/Network Repository). This package supplies connected
+synthetic stand-ins (scale-free, small-world, road-like, grid) plus
+Zachary's karate club, and the compact CSR representation, with its
+multi-source BFS, that Spark tasks use for random walks.
 """
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (

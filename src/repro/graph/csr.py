@@ -3,8 +3,8 @@
 A :class:`CSRGraph` is a frozen numpy CSR of an undirected simple graph.
 It is small (two int arrays), picklable, and broadcast to the executors
 with every Spark job (``repro.fanout``); every random-walk / BFS /
-matvec kernel in this repo runs against it. Construction accepts either a canonical numpy edge array or a
-Spark edge DataFrame (``src``/``dst`` columns).
+matvec kernel in this repo runs against it. It is built from a canonical
+numpy edge array (:func:`repro.graph.generators.canonical_edges`).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph", "local_bfs_tree", "local_connected_components", "estimate_diameter"]
+__all__ = ["CSRGraph", "local_bfs_tree", "estimate_diameter"]
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,11 @@ class CSRGraph:
 
     def adj_matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` for the adjacency matrix, via segment sums."""
-        gathered = x[self.indices]
-        out = np.add.reduceat(gathered, self.indptr[:-1])
-        out[self.degrees == 0] = 0.0
+        # Segments start only at nodes of degree > 0: ``reduceat`` needs every
+        # start below ``2m``, and a degree-0 node at the end starts at ``2m``.
+        nz = self.degrees > 0
+        out = np.zeros_like(x)
+        out[nz] = np.add.reduceat(x[self.indices], self.indptr[:-1][nz])
         return out
 
     @classmethod
@@ -85,13 +87,6 @@ class CSRGraph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(n=n, indptr=indptr, indices=both[:, 1].copy())
-
-    @classmethod
-    def from_edge_df(cls, edge_df, n: int | None = None) -> "CSRGraph":
-        """Build from a Spark DataFrame with ``src``/``dst`` columns."""
-        pdf = edge_df.select("src", "dst").toPandas()
-        edges = pdf[["src", "dst"]].to_numpy(dtype=np.int64)
-        return cls.from_edges(edges, n=n)
 
 
 def local_bfs_tree(
@@ -134,23 +129,6 @@ def local_bfs_tree(
         frontier = uniq
         buckets.append(uniq)
     return parent, depth, buckets
-
-
-def local_connected_components(g: CSRGraph) -> np.ndarray:
-    """Component label per node (smallest node id in the component)."""
-    label = np.full(g.n, -1, dtype=np.int64)
-    for s in range(g.n):
-        if label[s] != -1:
-            continue
-        label[s] = s
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if label[v] == -1:
-                    label[v] = s
-                    stack.append(int(v))
-    return label
 
 
 def estimate_diameter(g: CSRGraph, *, n_sweeps: int = 4, seed: int = 0) -> int:

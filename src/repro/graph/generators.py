@@ -2,8 +2,8 @@
 
 All generators return an undirected simple graph as a numpy ``(m, 2)``
 int64 array of canonical edges (``src < dst``, no self-loops, no
-duplicates) — the neutral interchange format consumed by both
-:class:`repro.graph.csr.CSRGraph` and the Spark DataFrame layer.
+duplicates), the format :meth:`repro.graph.csr.CSRGraph.from_edges`
+takes.
 
 These stand in for the paper's real-world datasets (see DESIGN.md §5):
 
@@ -16,14 +16,16 @@ These stand in for the paper's real-world datasets (see DESIGN.md §5):
 * :func:`karate_club` — Zachary's karate club, a real graph used by the
   paper's Fig. 1, embedded verbatim.
 
-Every generator guarantees the result is connected (an assert, not a
-silent fixup) so downstream code never needs LCC extraction for synthetic
-inputs; LCC extraction is still implemented and tested in
-``dataframe_ops`` because the paper's pipeline requires it.
+Every generator returns a connected graph, so no input needs the paper's
+largest-connected-component extraction. :func:`erdos_renyi` and
+:func:`watts_strogatz` add a ring when their random draw comes out
+disconnected; every generator then asserts connectivity.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from repro.graph.csr import CSRGraph, local_bfs_tree
 
 __all__ = [
     "barabasi_albert",
@@ -52,22 +54,9 @@ def canonical_edges(pairs: np.ndarray) -> np.ndarray:
 
 
 def is_connected_edges(edges: np.ndarray, n: int) -> bool:
-    """Union-find connectivity check on a canonical edge array."""
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in edges:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n)}) == 1
+    """Whether a canonical edge array connects all of ``0..n-1`` (one BFS)."""
+    _, depth, _ = local_bfs_tree(CSRGraph.from_edges(edges, n), [0])
+    return bool((depth >= 0).all())
 
 
 def _assert_connected(edges: np.ndarray, n: int, name: str) -> np.ndarray:

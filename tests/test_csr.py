@@ -1,13 +1,8 @@
-"""CSRGraph structure, BFS, components, diameter."""
+"""CSRGraph structure, BFS, diameter."""
 import numpy as np
 import pytest
 
-from repro.graph.csr import (
-    CSRGraph,
-    estimate_diameter,
-    local_bfs_tree,
-    local_connected_components,
-)
+from repro.graph.csr import CSRGraph, estimate_diameter, local_bfs_tree
 from repro.graph.generators import barabasi_albert, grid2d, karate_club
 
 
@@ -48,12 +43,10 @@ class TestCSRStructure:
         x = np.random.default_rng(0).random(karate.n)
         np.testing.assert_allclose(karate.adj_matvec(x), A @ x, rtol=1e-12)
 
-    def test_from_edge_df(self, spark, karate):
-        from repro.graph.dataframe_ops import edges_to_df
-
-        df = edges_to_df(spark, karate.edge_array())
-        g2 = CSRGraph.from_edge_df(df, n=karate.n)
-        assert np.array_equal(g2.indices, karate.indices)
+    def test_adj_matvec_trailing_isolated_node(self):
+        # Node 3 has degree 0 and the highest id: its segment starts at 2m.
+        g = CSRGraph.from_edges(np.array([[0, 1], [1, 2]]), 4)
+        assert g.adj_matvec(np.array([1.0, 2.0, 4.0, 8.0])).tolist() == [2.0, 5.0, 2.0, 0.0]
 
     def test_picklable(self, karate):
         import pickle
@@ -105,17 +98,6 @@ class TestLocalBFS:
         for r in range(5):
             for c in range(5):
                 assert depth[r * 5 + c] == r + c
-
-
-class TestComponents:
-    def test_single_component(self, karate):
-        lab = local_connected_components(karate)
-        assert (lab == 0).all()
-
-    def test_two_components(self):
-        g = CSRGraph.from_edges(np.array([[0, 1], [2, 3]]), 4)
-        lab = local_connected_components(g)
-        assert lab.tolist() == [0, 0, 2, 2]
 
 
 class TestDiameter:
