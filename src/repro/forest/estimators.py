@@ -5,16 +5,17 @@ one sampled forest with parent map ``π`` contributes
 
 * ``z_f[u]  = z_f[p(u)]  + 1[π_u = p(u)] − 1[π_{p(u)} = u]`` — whose mean
   over forests is the unbiased estimator ``Φ̄_{u,S}(u)`` of
-  ``(L_{-S}^{-1})_{uu}`` (Lemma 3.3);
-* ``Y_f[:,u] = Y_f[:,p(u)] + SW[:,u]·1[π_u = p(u)] − SW[:,p(u)]·1[π_{p(u)} = u]``
+  ``(L_{-S}^{-1})_{uu}`` (Lemma 3.3), telescoped down the BFS tree;
+* ``Y_f[:,u] = Y_f[:,π_u] + BW[:,u]·1[π_u = p(u)] − BW[:,π_u]·1[p(π_u) = u]``
   — whose mean is ``W·L_{-S}^{-1}`` row estimates ``Φ̄_{w_j,S}(u)``
-  (Section III-B; with a row of ones this is ``Φ̄_{1,S}(u)`` of eq. 7);
+  (Section III-B; with a row of ones this is ``Φ̄_{1,S}(u)`` of eq. 7),
+  summed down ``u``'s own forest path;
 
-where ``SW[:, a]`` are W-weighted forest-subtree sums (the counters of
-Algorithm 2, lines 9–10). Equivalence with the paper's counter-based
-formulation is proved in DESIGN.md §2 and tested against dense inverses.
-:func:`chunk_stats` evaluates these sums for a whole chunk of forests at
-once, with no per-forest Python loop.
+where ``BW[:, a] = Σ_{v ∈ BFS-subtree(a)} W[:, v]`` is one subtree pass
+over the BFS tree. Both are unbiased by Kirchhoff's theorem for forest
+paths and the symmetry of ``L_{-S}^{-1}`` (DESIGN.md §2), and are tested
+against dense inverses. :func:`chunk_stats` evaluates them for a whole
+chunk of forests at once, with no per-forest Python loop.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.forest.wilson import forest_depths, sample_forests, subtree_sums_T
+from repro.forest.wilson import depth_buckets, forest_depths, sample_forests, subtree_sums_T
 from repro.graph.csr import CSRGraph, local_bfs_tree
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "bfs_tree_for_roots",
     "forest_masks",
     "telescope",
+    "forest_path_sums",
     "chunk_stats",
 ]
 
@@ -86,6 +88,35 @@ def telescope(bfs: BFSTree, delta: np.ndarray) -> np.ndarray:
     return phi
 
 
+def forest_path_sums(bfs: BFSTree, W_T: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """``Σ_f Ŷ_f`` as ``(n, w)`` over the forests of ``parents`` (``(count, n)``).
+
+    The forests must be rooted at ``bfs.roots``.
+
+    Each forest's ``Ŷ_f[:, u]`` sums, down ``u``'s own forest path, the
+    BFS-subtree sum ``BW`` of every BFS edge the path uses, signed by
+    direction (DESIGN.md §2). ``BW`` is one subtree pass over the BFS
+    tree; the path sums are one gather-add per forest level over flat
+    ``(forest, node)`` ids.
+    """
+    count, n = parents.shape
+    BW_T = subtree_sums_T(bfs.parent, bfs.depth, W_T)
+    nodes = np.arange(n)
+    nonroot = parents >= 0
+    safe = np.where(nonroot, parents, 0)
+    # Forest edge u → π_u is BFS edge u → p(u) (row u of [BW; −BW; 0]),
+    # its reverse (row n + π_u) or no BFS edge (the zero row 2n).
+    up = nonroot & (parents == bfs.parent)
+    down = nonroot & (bfs.parent[safe] == nodes)
+    edge = np.where(up, nodes, np.where(down, n + safe, 2 * n)).ravel()
+    Y = np.vstack([BW_T, -BW_T, np.zeros((1, BW_T.shape[1]))]).take(edge, axis=0)
+    flat_parent = np.where(nonroot, safe + np.arange(count)[:, None] * n, -1).ravel()
+    # Roots add nothing, so each level adds its parents' finished sums.
+    for level in depth_buckets(forest_depths(flat_parent))[1:]:
+        Y[level] = Y.take(level, axis=0) + Y.take(flat_parent[level], axis=0)
+    return Y.reshape(count, n, -1).sum(axis=0)
+
+
 def chunk_stats(
     g: CSRGraph,
     bfs: BFSTree,
@@ -112,25 +143,7 @@ def chunk_stats(
     fwd, rev = forest_masks(parents, bfs)
     z = telescope(bfs, np.ascontiguousarray((fwd.astype(np.float64) - rev).T))
     z_sum = z.sum(axis=1)
-    y_sum_T = None
-    if W_T is not None:
-        # Y_f = telescope(delta_f) and telescoping is linear over the
-        # shared BFS tree, so sum the deltas over the chunk's forests and
-        # telescope once.
-        offsets = np.arange(count, dtype=np.int64)[:, None] * n
-        flat_parent = np.where(parents >= 0, parents + offsets, -1).ravel()
-        SW_T = subtree_sums_T(
-            flat_parent, forest_depths(flat_parent), np.tile(W_T, (count, 1))
-        ).reshape(count, n, -1)
-        # delta[u] = Σ_b fwd[b, u]·SW_b[u] − rev[b, u]·SW_b[p(u)], as one
-        # (1 × count) @ (count × w) product per node.
-        safe_p = np.where(bfs.parent >= 0, bfs.parent, 0)
-        by_node = SW_T.transpose(1, 0, 2)  # (n, count, w) view
-        delta = (
-            np.matmul(fwd.T.astype(np.float64)[:, None, :], by_node)
-            - np.matmul(rev.T.astype(np.float64)[:, None, :], by_node[safe_p])
-        )[:, 0]
-        y_sum_T = telescope(bfs, delta)
+    y_sum_T = None if W_T is None else forest_path_sums(bfs, W_T, parents)
     rc = np.zeros((n, n_t))
     if n_t:
         cols = t_col[roots_of]

@@ -21,10 +21,11 @@ on flat ``(forest, node)`` ids:
 The paper's Algorithm 1 additionally returns a reverse-DFS order so the
 counter updates of Algorithms 2–4 can be done in one pass. We instead
 return the parent map and compute depths by vectorized pointer doubling
-(:func:`forest_depths`), which gives the same parent-after-child
-processing discipline as per-depth-level numpy passes
-(:func:`subtree_sums_T`) — equivalent output, vectorized (DESIGN.md §2).
-Both helpers take flat parent maps, so one pass serves a whole batch.
+(:func:`forest_depths`), so the estimators can walk a batch's forests
+one depth level at a time, parents before children, over flat
+``(forest, node)`` ids (DESIGN.md §2). :func:`subtree_sums_T` is the
+bottom-up counterpart; the estimators run it on the BFS tree, not on
+forests.
 """
 from __future__ import annotations
 
@@ -141,9 +142,9 @@ def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np
 
     ``X_T`` has shape ``(n, w)``; processes depth levels bottom-up with a
     per-parent segment reduce so siblings sharing a parent accumulate
-    correctly. These are the quantities
-    ``Σ_v W_{jv} Ñ_{v,S}^{a→π_a}`` of Algorithm 2 line 9, for every
-    forest of a batch when ``parent`` is a flat ``(forest, node)`` map.
+    correctly. The estimators call it once per chunk on the BFS tree
+    (3–5 levels on BA graphs), for the weights ``BW`` that each forest
+    path then sums (DESIGN.md §2); any forest of parent pointers works.
     """
     ST = X_T.copy()
     maxd = int(depth.max()) if len(depth) else 0

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repro.forest.distributed import SampleConfig, adaptive_forest_stats
-from repro.forest.estimators import bfs_tree_for_roots, chunk_stats, forest_masks, telescope
+from repro.forest.estimators import (
+    bfs_tree_for_roots,
+    chunk_stats,
+    forest_masks,
+    forest_path_sums,
+    telescope,
+)
 from repro.forest.wilson import sample_forest
 from repro.graph.csr import CSRGraph
 from repro.linalg.laplacian import (
@@ -19,6 +25,7 @@ from repro.linalg.laplacian import (
     laplacian_pinv,
     submatrix_inverse,
 )
+from tests import test_wilson
 
 # At eps=0.2: 4566 forests on karate, 4233 on the 5x5 grid.
 BIG = SampleConfig(r_coeff=30)
@@ -123,6 +130,54 @@ class TestWeightedEstimator:
         true[keep] = M.sum(axis=0)
         rel = np.abs(stats.y[0][keep] - true[keep]) / np.abs(true[keep])
         assert rel.max() < 0.15
+
+
+class TestForestPathSums:
+    @pytest.mark.parametrize("roots", [[0], [0, 3]])
+    def test_mean_over_every_forest_is_exact(self, roots):
+        # The uniform average over all rooted spanning forests is the
+        # estimator's expectation, so it must equal W·L_{-S}^{-1} exactly.
+        g = CSRGraph.from_edges(test_wilson.TestChunkSampler.CHORDED, 5)
+        forests = np.array(test_wilson._rooted_forests(g, roots))
+        W = np.random.default_rng(8).standard_normal((3, g.n))
+        W[:, roots] = 0.0
+        bfs = bfs_tree_for_roots(g, roots)
+        mean = forest_path_sums(bfs, np.ascontiguousarray(W.T), forests) / len(forests)
+        M, keep = submatrix_inverse(laplacian_dense(g), roots)
+        true = np.zeros((g.n, 3))
+        true[keep] = M @ W[:, keep].T
+        np.testing.assert_allclose(mean, true, rtol=0, atol=1e-12)
+
+    def test_schur_roots_within_standard_errors(self, karate):
+        # SCHUR's chunk: roots S ∪ T, W zero there, root counts on. Every
+        # entry of Ŷ must lie within 4.5 chunk-level standard errors of
+        # the dense W·L_{-(S∪T)}^{-1} (largest |z| over 108 entries: 2.61).
+        from repro.core.schur_cfcm import select_T
+
+        S = [26]
+        T = [t for t in select_T(karate) if t not in S]
+        roots = sorted(S + T)
+        bfs = bfs_tree_for_roots(karate, roots)
+        W = np.random.default_rng(6).choice([-1.0, 1.0], size=(4, karate.n))
+        W[:, roots] = 0.0
+        W_T = np.ascontiguousarray(W.T)
+        t_col = np.full(karate.n, -1, dtype=np.int64)
+        t_col[T] = np.arange(len(T))
+        per_chunk = np.array([
+            chunk_stats(karate, bfs, W_T, t_col, len(T), 1000 + c, 16)[2] / 16
+            for c in range(256)
+        ])
+        M, keep = submatrix_inverse(laplacian_dense(karate), roots)
+        true = np.zeros((karate.n, 4))
+        true[keep] = M @ W[:, keep].T
+        mean = per_chunk.mean(axis=0)
+        se = per_chunk.std(axis=0, ddof=1) / np.sqrt(len(per_chunk))
+        # A node whose every path to S ∪ T is one edge has a fixed Ŷ
+        # (karate node 11 hangs off root 0); it must be exact.
+        fixed = se < 1e-12
+        np.testing.assert_allclose(mean[fixed], true[fixed], rtol=0, atol=1e-12)
+        z = (mean[~fixed] - true[~fixed]) / se[~fixed]
+        assert np.abs(z).max() < 4.5
 
 
 class TestPinvDiagEstimator:
