@@ -1,7 +1,8 @@
 """Benchmark for Fig. 4: runtime of FOREST/SCHUR across ε (miniature).
 
-The full ε grid over the suite is ``jobs/fig4_epsilon_runtime.py``; this
-target tracks the ε⁻² scaling and SCHUR's edge on one graph.
+Over the whole suite, Fig. 4 is Table II's ε columns at k = 20
+(``jobs/table2.py``); this target tracks the ε⁻² scaling and SCHUR's
+edge on one graph.
 """
 import pytest
 

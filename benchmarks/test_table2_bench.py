@@ -1,6 +1,6 @@
 """Benchmark for Table II: per-algorithm runtime on a miniature ladder.
 
-The full table is produced by ``jobs/table2.py`` over the whole suite;
+The full table comes from ``jobs/table2.py``'s one sweep over the suite;
 this pytest-benchmark target regenerates the table's comparison on a
 small scale-free graph (the EXACT-feasible regime) so the ordering
 EXACT ≫ APPROX > FOREST > SCHUR is tracked in CI-sized runs.

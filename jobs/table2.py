@@ -1,48 +1,56 @@
-"""Table II job: running times of EXACT / APPROX / FORESTCFCM / SCHURCFCM.
+"""Table II and Figs. 1, 2–3 and 5: one sweep, every table.
 
 Usage:
-    spark-submit jobs/table2.py [--graphs name1,name2] [--k 20] [--tiers small,medium]
+    spark-submit jobs/table2.py [--graphs name1,name2]
 
-Writes ``results/table2.md``.
+Runs each ``(graph, algorithm, ε)`` greedy call once over the suite
+graphs (default: all of ``SUITE``) and reads every table off the
+results (``repro.experiments.table2``); Fig. 4 is Table II's ε columns.
+Fig. 1 runs on the tiny graphs. Writes ``results/table2.md``,
+``fig1.md``, ``fig23.md`` and ``fig5.md``.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import get_spark, write_result  # noqa: E402
+from pyspark.sql import SparkSession
 
-from repro.experiments.graphs import SUITE  # noqa: E402
-from repro.experiments.table2 import format_table2, run_table2  # noqa: E402
+from repro.experiments import table2 as harness
+from repro.experiments.graphs import SUITE
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+
+def _write(file: str, table: harness.Table) -> None:
+    text = harness.markdown(table)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / file).write_text(text)
+    print(f"\n=== {file} ===\n{text}\nwritten to {RESULTS_DIR / file}", file=sys.stderr)
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--graphs", default=None, help="comma-separated suite names")
-    ap.add_argument("--tiers", default="small,medium,large")
-    ap.add_argument("--k", type=int, default=20)
-    ap.add_argument("--exact-limit", type=int, default=2500)
-    ap.add_argument("--approx-limit", type=int, default=13000)
-    args = ap.parse_args()
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--graphs", default=",".join(SUITE), help="comma-separated suite names")
+    names = ap.parse_args().graphs.split(",")
+    if unknown := [n for n in names if n not in SUITE]:
+        ap.error(f"unknown suite graphs {unknown}; choose from {list(SUITE)}")
 
-    if args.graphs:
-        names = args.graphs.split(",")
-    else:
-        tiers = set(args.tiers.split(","))
-        names = [n for n, s in SUITE.items() if s.tier in tiers]
-
-    spark = get_spark("table2")
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '16g')} "
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false pyspark-shell",
+    )
+    spark = SparkSession.builder.appName("table2").getOrCreate()
     try:
-        rows = run_table2(
-            spark,
-            graph_names=names,
-            k=args.k,
-            exact_limit=args.exact_limit,
-            approx_limit=args.approx_limit,
-        )
-        write_result("table2.md", format_table2(rows))
+        runs = harness.sweep(spark, names)
+        _write("table2.md", harness.table2(runs))
+        _write("fig23.md", harness.fig23(spark, runs))
+        _write("fig5.md", harness.fig5(spark, runs))
+        _write("fig1.md", harness.fig1(spark))
     finally:
         spark.stop()
 

@@ -1,8 +1,8 @@
 """The synthetic graph suite mirroring the paper's dataset ladder.
 
-Each spec names its paper analogue and the paper's (n, m) so
-EXPERIMENTS.md can put measured and published rows side by side. Sizes
-are laptop-scale (DESIGN.md §5): crossovers and scaling shapes — not
+Each graph stands in for one row of the paper's Table II; the row and
+its published numbers are ``repro.experiments.table2.PAPER_TABLE2``.
+Sizes are laptop-scale (DESIGN.md §5): crossovers and scaling shapes — not
 absolute seconds — are the reproduction target.
 """
 from __future__ import annotations
@@ -27,11 +27,8 @@ __all__ = ["GraphSpec", "SUITE", "TINY", "build_graph", "graph_stats"]
 @dataclass(frozen=True)
 class GraphSpec:
     name: str
-    paper_analog: str  # which Table II row this mirrors
-    paper_nm: tuple[int, int]  # the analogue's published (n, m)
     build: Callable[[], np.ndarray]
     n: int
-    tier: str  # "small" | "medium" | "large" — controls which baselines run
 
 
 def _ba(n: int, d: int, seed: int) -> Callable[[], np.ndarray]:
@@ -43,16 +40,14 @@ def _ba(n: int, d: int, seed: int) -> Callable[[], np.ndarray]:
 SUITE: dict[str, GraphSpec] = {
     s.name: s
     for s in [
-        GraphSpec("road-1000", "Euroroads", (1039, 1305),
-                  lambda: ring_with_shortcuts(1000, seed=0), 1000, "small"),
-        GraphSpec("ba-2000-d8", "Hamsterster", (2000, 16097), _ba(2000, 8, 1), 2000, "small"),
-        GraphSpec("ba-1500-d30", "buzznet (density row)", (101163, 2763066),
-                  _ba(1500, 30, 2), 1500, "small"),
-        GraphSpec("ba-4000-d22", "Facebook", (4039, 88234), _ba(4000, 22, 3), 4000, "medium"),
-        GraphSpec("ba-4200-d3", "GR-QC", (4158, 13428), _ba(4200, 3, 4), 4200, "medium"),
-        GraphSpec("ba-6500-d2", "Routeviews", (6474, 13895), _ba(6500, 2, 5), 6500, "medium"),
-        GraphSpec("ba-8600-d3", "HEP-Th", (8638, 24827), _ba(8600, 3, 6), 8600, "large"),
-        GraphSpec("ba-12000-d11", "Astro-Ph", (17903, 197031), _ba(12000, 11, 7), 12000, "large"),
+        GraphSpec("road-1000", lambda: ring_with_shortcuts(1000, seed=0), 1000),
+        GraphSpec("ba-2000-d8", _ba(2000, 8, 1), 2000),
+        GraphSpec("ba-1500-d30", _ba(1500, 30, 2), 1500),  # the density row
+        GraphSpec("ba-4000-d22", _ba(4000, 22, 3), 4000),
+        GraphSpec("ba-4200-d3", _ba(4200, 3, 4), 4200),
+        GraphSpec("ba-6500-d2", _ba(6500, 2, 5), 6500),
+        GraphSpec("ba-8600-d3", _ba(8600, 3, 6), 8600),
+        GraphSpec("ba-12000-d11", _ba(12000, 11, 7), 12000),
     ]
 }
 

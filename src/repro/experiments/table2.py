@@ -1,27 +1,52 @@
-"""Table II reproduction: running times of all four algorithms.
+"""Table II and Figs. 1, 2–3 and 5 from one sweep of greedy calls.
 
-For each suite graph: descriptive stats (n, m, τ, |T*|) and wall-clock
-seconds for EXACT, APPROXGREEDY, FORESTCFCM and SCHURCFCM with
-ε ∈ {0.3, 0.2, 0.15} at k = 20 (the paper's setting). EXACT and
-APPROXGREEDY are skipped above size cutoffs, mirroring the paper's "—"
-entries (EXACT infeasible at medium scale, APPROX at large scale).
+:func:`sweep` runs every ``(graph, algorithm, ε)`` greedy call once, at
+``k = K``: FORESTCFCM and SCHURCFCM at each ε of ``EPS_GRID``,
+APPROXGREEDY at ``EPS`` and EXACT once. EXACT and APPROXGREEDY are
+skipped above size cutoffs, mirroring the paper's "—" entries. Every
+table is read off the stored results of those calls:
+
+* :func:`table2` — seconds per call plus n, m, τ and |T*|. Its ε
+  columns are Fig. 4 (running time vs ε).
+* :func:`fig23` — ``C(S)`` of each prefix in ``FIG23_KS`` at ε = ``EPS``,
+  next to the DEGREE and TOP-CFCC heuristics (Figs. 2–3).
+* :func:`fig5` — relative difference of ``C(S[:FIG5_K])`` vs EXACT
+  across ε (Fig. 5). A k = 10 run is the first 10 picks of the k = 20
+  run, because iteration ``i`` gets the seed ``params.seed + 1000·i``
+  whatever k is (``tests/test_greedy.py`` pins this).
+
+:func:`fig1` runs on its own: tiny graphs, ``C(S)`` of every algorithm
+vs the brute-force optimum for ``k = 1..FIG1_K``. Each table is a
+``(header, rows)`` pair that :func:`markdown` formats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from pyspark.sql import SparkSession
 
+from repro.core import evaluate
 from repro.core.approx import approx_greedy
-from repro.core.exact import exact_greedy
-from repro.core.forest_cfcm import forest_cfcm
+from repro.core.evaluate import cfcc_of_set, relative_difference
+from repro.core.exact import brute_force_optimum, exact_greedy
+from repro.core.forest_cfcm import GreedyResult, forest_cfcm
+from repro.core.heuristics import degree_baseline, top_cfcc_exact, top_cfcc_sampled
 from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
-from repro.experiments.graphs import SUITE, build_graph, graph_stats
+from repro.experiments.graphs import TINY, build_graph, graph_stats
+from repro.graph.csr import CSRGraph
 
-__all__ = ["Table2Row", "run_table2", "format_table2", "PAPER_TABLE2"]
+__all__ = ["PAPER_TABLE2", "GraphRuns", "sweep", "table2", "fig1", "fig23", "fig5", "markdown"]
 
-EPS_GRID = (0.3, 0.2, 0.15)
+K = 20  # the paper's group size for Table II and Figs. 2–3
+EPS_GRID = (0.4, 0.3, 0.2, 0.15)  # FOREST and SCHUR run at each
+EPS = 0.2  # APPROX's ε, and the ε of Figs. 1–3
+EXACT_LIMIT = 2500  # EXACT (dense inverse) runs up to this n
+APPROX_LIMIT = 13000  # APPROXGREEDY runs up to this n
+FIG1_K = 4
+FIG23_KS = (1, 5, 10, 15, 20)
+FIG5_K = 10
 
 # Paper Table II rows analogous to our suite (seconds, 72-core server).
 # Keys are our graph names; values: (EXACT, APPROX, FOREST eps .3/.2/.15,
@@ -45,75 +70,134 @@ PAPER_TABLE2: dict[str, dict] = {
                          forest=(22.10, 44.24, 74.35), schur=(18.73, 35.69, 59.81)),
 }
 
+Table = tuple[list[str], list[list]]  # header, rows of raw cells
+
 
 @dataclass
-class Table2Row:
+class GraphRuns:
+    """One graph's sweep: its Table II stats and every greedy result.
+
+    ``results`` is keyed by ``(algorithm, ε)``; EXACT's ε is ``None``.
+    """
+
     name: str
+    g: CSRGraph
     stats: dict
-    exact_s: float | None = None
-    approx_s: float | None = None
-    forest_s: dict = field(default_factory=dict)  # eps -> seconds
-    schur_s: dict = field(default_factory=dict)
+    results: dict[tuple[str, float | None], GreedyResult]
+
+    def group(self, algo: str, eps: float | None) -> list[int] | None:
+        """The size-``K`` group of one call, ``None`` if it was skipped."""
+        res = self.results.get((algo, eps))
+        return None if res is None else res.S
 
 
-def run_table2(
-    spark: SparkSession | None,
-    *,
-    graph_names: list[str] | None = None,
-    k: int = 20,
-    eps_grid: tuple[float, ...] = EPS_GRID,
-    exact_limit: int = 2500,
-    approx_limit: int = 13000,
-    log=print,
-) -> list[Table2Row]:
-    """Run the Table II measurement over the suite (or a subset)."""
-    names = graph_names or list(SUITE)
-    rows: list[Table2Row] = []
-    for name in names:
+def sweep(spark: SparkSession | None, graphs: list[str], log=print) -> list[GraphRuns]:
+    """Run every ``(graph, algorithm, ε)`` greedy call once at ``k = K``."""
+    out: list[GraphRuns] = []
+    for name in graphs:
         g = build_graph(name)
-        row = Table2Row(name=name, stats=graph_stats(g))
-        log(f"[table2] {name}: n={g.n} m={g.m} tau={row.stats['tau']} |T*|={row.stats['t_star']}")
-        if g.n <= exact_limit:
-            row.exact_s = exact_greedy(g, k).seconds
-            log(f"  exact: {row.exact_s:.2f}s")
-        if g.n <= approx_limit:
-            row.approx_s = approx_greedy(spark, g, k, Params(eps=0.2)).seconds
-            log(f"  approx: {row.approx_s:.2f}s")
-        for eps in eps_grid:
-            row.forest_s[eps] = forest_cfcm(spark, g, k, Params(eps=eps)).seconds
-            log(f"  forest eps={eps}: {row.forest_s[eps]:.2f}s")
-            row.schur_s[eps] = schur_cfcm(spark, g, k, Params(eps=eps)).seconds
-            log(f"  schur  eps={eps}: {row.schur_s[eps]:.2f}s")
-        rows.append(row)
-    return rows
+        stats = graph_stats(g)
+        log(f"[table2] {name}: n={g.n} m={g.m} tau={stats['tau']} |T*|={stats['t_star']}")
+        calls = {}
+        if g.n <= EXACT_LIMIT:
+            calls["EXACT", None] = partial(exact_greedy, g, K)
+        if g.n <= APPROX_LIMIT:
+            calls["APPROX", EPS] = partial(approx_greedy, spark, g, K, Params(eps=EPS))
+        for eps in EPS_GRID:
+            calls["FOREST", eps] = partial(forest_cfcm, spark, g, K, Params(eps=eps))
+            calls["SCHUR", eps] = partial(schur_cfcm, spark, g, K, Params(eps=eps))
+        results = {}
+        for (algo, eps), call in calls.items():
+            results[algo, eps] = res = call()
+            log(f"  {name} {algo} eps={eps} k={K}: {res.seconds:.2f}s")
+        out.append(GraphRuns(name, g, stats, results))
+    return out
 
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return "—"
-    return f"{v:.3f}" if v < 100 else f"{v:.1f}"
+def _seconds(res: GreedyResult | None) -> str | None:
+    if res is None:
+        return None
+    return f"{res.seconds:.3f}" if res.seconds < 100 else f"{res.seconds:.1f}"
 
 
-def format_table2(rows: list[Table2Row], eps_grid: tuple[float, ...] = EPS_GRID) -> str:
-    """Markdown table in the layout of the paper's Table II."""
-    hdr_eps = " | ".join(f"F ε={e}" for e in eps_grid) + " | " + " | ".join(
-        f"S ε={e}" for e in eps_grid
-    )
-    out = [
-        f"| graph | n | m | τ | \\|T*\\| | EXACT | APPROX | {hdr_eps} |",
-        "|" + "---|" * (7 + 2 * len(eps_grid)),
+def table2(runs: list[GraphRuns]) -> Table:
+    """Table II: n, m, τ, |T*| and the seconds of every call (Fig. 4 is its ε columns)."""
+    header = ["graph", "n", "m", "τ", "\\|T*\\|", "EXACT", "APPROX",
+              *(f"F ε={e}" for e in EPS_GRID), *(f"S ε={e}" for e in EPS_GRID)]
+    rows = [
+        [r.name, r.stats["n"], r.stats["m"], r.stats["tau"], r.stats["t_star"],
+         _seconds(r.results.get(("EXACT", None))),
+         _seconds(r.results.get(("APPROX", EPS))),
+         *(_seconds(r.results.get(("FOREST", e))) for e in EPS_GRID),
+         *(_seconds(r.results.get(("SCHUR", e))) for e in EPS_GRID)]
+        for r in runs
     ]
-    for r in rows:
-        cells = [
-            r.name,
-            str(r.stats["n"]),
-            str(r.stats["m"]),
-            str(r.stats["tau"]),
-            str(r.stats["t_star"]),
-            _fmt(r.exact_s),
-            _fmt(r.approx_s),
-            *[_fmt(r.forest_s.get(e)) for e in eps_grid],
-            *[_fmt(r.schur_s.get(e)) for e in eps_grid],
+    return header, rows
+
+
+def fig23(spark: SparkSession | None, runs: list[GraphRuns]) -> Table:
+    """Figs. 2–3: ``C(S)`` of each prefix in ``FIG23_KS``, heuristics included.
+
+    TOP-CFCC is exact up to ``evaluate._DENSE_LIMIT`` nodes and sampled
+    (``top_cfcc_sampled``) above it.
+    """
+    algos = ["DEGREE", "TOP-CFCC", "EXACT", "APPROX", "FOREST", "SCHUR"]
+    rows = []
+    for r in runs:
+        g = r.g
+        top = (top_cfcc_exact(g, K) if g.n <= evaluate._DENSE_LIMIT
+               else top_cfcc_sampled(spark, g, K, Params(eps=EPS)))
+        groups = [degree_baseline(g, K), top, r.group("EXACT", None),
+                  r.group("APPROX", EPS), r.group("FOREST", EPS), r.group("SCHUR", EPS)]
+        for k in FIG23_KS:
+            rows.append([r.name, k, *(None if S is None else cfcc_of_set(spark, g, S[:k])
+                                      for S in groups)])
+    return ["graph", "k", *algos], rows
+
+
+def fig5(spark: SparkSession | None, runs: list[GraphRuns]) -> Table:
+    """Fig. 5: relative difference of ``C(S[:FIG5_K])`` vs EXACT across ε."""
+    rows = []
+    for r in runs:
+        exact = r.group("EXACT", None)
+        if exact is None:
+            continue
+        c_exact = cfcc_of_set(spark, r.g, exact[:FIG5_K])
+        for eps in EPS_GRID:
+            rows.append([r.name, str(eps), *(
+                relative_difference(cfcc_of_set(spark, r.g, r.group(a, eps)[:FIG5_K]), c_exact)
+                for a in ("FOREST", "SCHUR"))])
+    return ["graph", "ε", "FOREST rel. diff", "SCHUR rel. diff"], rows
+
+
+def fig1(spark: SparkSession | None, graphs: list[str] = TINY, log=print) -> Table:
+    """Fig. 1: ``C(S)`` of every algorithm vs the brute-force optimum on tiny graphs."""
+    rows = []
+    for name in graphs:
+        g = build_graph(name)
+        log(f"[fig1] {name} (n={g.n})")
+        p = Params(eps=EPS)
+        groups = [
+            exact_greedy(g, FIG1_K).S,
+            approx_greedy(spark, g, FIG1_K, p).S,
+            forest_cfcm(spark, g, FIG1_K, p).S,
+            schur_cfcm(spark, g, FIG1_K, p).S,
         ]
-        out.append("| " + " | ".join(cells) + " |")
+        for k in range(1, FIG1_K + 1):
+            opt = cfcc_of_set(spark, g, brute_force_optimum(g, k)[0])
+            rows.append([name, k, opt, *(cfcc_of_set(spark, g, S[:k]) for S in groups)])
+    return ["graph", "k", "OPT", "EXACT", "APPROX", "FOREST", "SCHUR"], rows
+
+
+def markdown(table: Table) -> str:
+    """A markdown table: "—" for a skipped cell, floats to 4 decimals."""
+    header, rows = table
+
+    def cell(v) -> str:
+        if v is None:
+            return "—"
+        return f"{v:.4f}" if isinstance(v, float) else str(v)
+
+    out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    out += ["| " + " | ".join(cell(v) for v in row) + " |" for row in rows]
     return "\n".join(out)

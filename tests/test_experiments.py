@@ -1,18 +1,22 @@
-"""Experiment harnesses: suite integrity, miniature runs, formatting."""
-import numpy as np
+"""Experiment harness: suite integrity, miniature sweeps, formatting."""
 import pytest
 
-from repro.experiments.effectiveness import (
-    CfccRow,
-    format_cfcc_table,
-    format_fig5,
-    run_fig1,
-    run_fig23,
-    run_fig5,
-)
-from repro.experiments.epsilon import format_fig4, run_fig4
+from repro.experiments import table2 as harness
 from repro.experiments.graphs import SUITE, TINY, build_graph, graph_stats
-from repro.experiments.table2 import PAPER_TABLE2, Table2Row, format_table2, run_table2
+from repro.experiments.table2 import PAPER_TABLE2, GraphRuns, fig1, fig5, fig23, markdown, sweep, table2
+
+QUIET = dict(log=lambda *a: None)
+
+
+@pytest.fixture()
+def small_sweep(monkeypatch):
+    """Shrink the sweep's constants to a karate-sized run."""
+    monkeypatch.setattr(harness, "K", 3)
+    monkeypatch.setattr(harness, "EPS_GRID", (0.4, 0.3))
+    monkeypatch.setattr(harness, "EPS", 0.3)
+    monkeypatch.setattr(harness, "FIG23_KS", (1, 3))
+    monkeypatch.setattr(harness, "FIG5_K", 2)
+    monkeypatch.setattr(harness, "FIG1_K", 2)
 
 
 class TestSuite:
@@ -26,7 +30,7 @@ class TestSuite:
         assert g.m > 0
 
     def test_density_mirrors_paper(self):
-        # Density row must be denser than same-tier sparse rows.
+        # The density row must be denser than a sparse row of similar size.
         dense = build_graph("ba-1500-d30")
         sparse = build_graph("ba-2000-d8")
         assert dense.m / dense.n > 2 * sparse.m / sparse.n
@@ -50,114 +54,92 @@ class TestSuite:
 
 
 class TestTable2Harness:
-    def test_miniature_run(self):
-        rows = run_table2(
-            None,
-            graph_names=["karate"],
-            k=3,
-            eps_grid=(0.3,),
-            log=lambda *a, **k: None,
-        )
-        (row,) = rows
-        assert row.exact_s is not None and row.exact_s > 0
-        assert row.approx_s is not None
-        assert 0.3 in row.forest_s and 0.3 in row.schur_s
+    def test_miniature_run(self, small_sweep):
+        (run,) = sweep(None, ["karate"], **QUIET)
+        assert run.stats == graph_stats(build_graph("karate"))
+        assert set(run.results) == {
+            ("EXACT", None), ("APPROX", 0.3),
+            ("FOREST", 0.4), ("SCHUR", 0.4), ("FOREST", 0.3), ("SCHUR", 0.3),
+        }
+        assert all(len(res.S) == 3 for res in run.results.values())
 
-    def test_limits_skip_baselines(self):
-        rows = run_table2(
-            None,
-            graph_names=["karate"],
-            k=2,
-            eps_grid=(0.3,),
-            exact_limit=10,
-            approx_limit=10,
-            log=lambda *a, **k: None,
-        )
-        assert rows[0].exact_s is None and rows[0].approx_s is None
+    def test_limits_skip_baselines(self, small_sweep, monkeypatch):
+        monkeypatch.setattr(harness, "EXACT_LIMIT", 10)
+        monkeypatch.setattr(harness, "APPROX_LIMIT", 10)
+        runs = sweep(None, ["karate"], **QUIET)
+        assert {a for a, _ in runs[0].results} == {"FOREST", "SCHUR"}
+        (row,) = table2(runs)[1]
+        assert row[5] is None and row[6] is None  # EXACT, APPROX
+        assert fig5(None, runs)[1] == []  # no EXACT to compare against
+        assert all(r[4] is None and r[5] is None for r in fig23(None, runs)[1])
 
     def test_format(self):
-        row = Table2Row(
-            name="g",
-            stats=dict(n=10, m=20, tau=3, t_star=2),
-            exact_s=1.5,
-            approx_s=None,
-            forest_s={0.3: 0.5},
-            schur_s={0.3: 0.4},
-        )
-        md = format_table2([row], eps_grid=(0.3,))
-        assert "| g | 10 | 20 | 3 | 2 | 1.500 | — | 0.500 | 0.400 |" in md
+        header = ["graph", "n", "EXACT", "APPROX"]
+        md = markdown((header, [["g", 10, "1.500", None]]))
+        assert md.splitlines() == ["| graph | n | EXACT | APPROX |", "|---|---|---|---|", "| g | 10 | 1.500 | — |"]
 
 
 class TestEffectivenessHarnesses:
-    def test_fig1_miniature(self):
-        rows = run_fig1(None, graphs=["karate"], k_max=2, eps=0.3, log=lambda *a: None)
-        assert len(rows) == 2
+    def test_fig1_miniature(self, small_sweep):
+        header, rows = fig1(None, ["karate"], **QUIET)
+        assert header[2:] == ["OPT", "EXACT", "APPROX", "FOREST", "SCHUR"]
+        assert [r[1] for r in rows] == [1, 2]
         for r in rows:
-            assert set(r.values) == {"OPT", "EXACT", "APPROX", "FOREST", "SCHUR"}
             # OPT dominates everything (it is the optimum).
-            assert all(r.values["OPT"] >= v - 1e-9 for v in r.values.values())
+            assert all(r[2] >= v - 1e-9 for v in r[3:])
 
-    def test_fig23_miniature(self):
-        rows = run_fig23(
-            None, graphs=["karate"], k=3, eps=0.3, ks=[1, 3], log=lambda *a: None
-        )
-        assert len(rows) == 2
-        assert {"DEGREE", "TOP-CFCC", "EXACT", "APPROX", "FOREST", "SCHUR"} == set(
-            rows[0].values
-        )
+    def test_fig23_miniature(self, small_sweep):
+        header, rows = fig23(None, sweep(None, ["karate"], **QUIET))
+        assert header[2:] == ["DEGREE", "TOP-CFCC", "EXACT", "APPROX", "FOREST", "SCHUR"]
+        assert [r[1] for r in rows] == [1, 3]
+        assert all(v is not None for r in rows for v in r)
         # C(S) grows with k for greedy algorithms.
-        assert rows[1].values["EXACT"] > rows[0].values["EXACT"]
+        assert rows[1][4] > rows[0][4]
 
-    def test_fig23_samples_top_cfcc_above_dense_limit(self, monkeypatch):
+    def test_fig23_samples_top_cfcc_above_dense_limit(self, small_sweep, monkeypatch):
         from repro.core import evaluate
         from repro.core.heuristics import degree_baseline, top_cfcc_sampled
         from repro.core.params import Params
 
+        monkeypatch.setattr(harness, "K", 4)
+        monkeypatch.setattr(harness, "FIG23_KS", (4,))
         monkeypatch.setattr(evaluate, "_DENSE_LIMIT", 10)
         g = build_graph("karate")
-        (row,) = run_fig23(None, graphs=["karate"], k=4, eps=0.3, ks=[4], log=lambda *a: None)
+        run = GraphRuns("karate", g, {}, {})
+        (row,) = fig23(None, [run])[1]
         top = top_cfcc_sampled(None, g, 4, Params(eps=0.3))
         assert set(top) != set(degree_baseline(g, 4))
-        assert row.values["TOP-CFCC"] == evaluate.cfcc_of_set(None, g, top)
+        assert row[3] == evaluate.cfcc_of_set(None, g, top)
 
-    def test_fig5_miniature(self):
-        rows = run_fig5(
-            None, graphs=["karate"], k=3, eps_grid=(0.3,), log=lambda *a: None
-        )
-        (r,) = rows
-        assert abs(r["forest_rd"]) < 0.2 and abs(r["schur_rd"]) < 0.2
+    def test_fig5_miniature(self, small_sweep):
+        header, rows = fig5(None, sweep(None, ["karate"], **QUIET))
+        assert [r[1] for r in rows] == ["0.4", "0.3"]
+        for r in rows:
+            assert abs(r[2]) < 0.2 and abs(r[3]) < 0.2
 
-    def test_fig4_miniature(self):
-        rows = run_fig4(None, graphs=["karate"], k=2, eps_grid=(0.4,), log=lambda *a: None)
-        (r,) = rows
-        assert r["forest_s"] > 0 and r["schur_s"] > 0
+    def test_fig4_miniature(self, small_sweep):
+        # Fig. 4 is Table II's ε columns: FOREST and SCHUR seconds at each ε.
+        header, (row,) = table2(sweep(None, ["karate"], **QUIET))
+        assert header[7:] == ["F ε=0.4", "F ε=0.3", "S ε=0.4", "S ε=0.3"]
+        assert all(float(v) > 0 for v in row[7:])
 
     def test_format_cfcc_table(self):
-        rows = [CfccRow(graph="g", k=1, values={"A": 1.0, "B": 2.0})]
-        md = format_cfcc_table(rows)
+        md = markdown((["graph", "k", "A", "B"], [["g", 1, 1.0, 2.0]]))
         assert "| g | 1 | 1.0000 | 2.0000 |" in md
 
     def test_format_fig5(self):
-        md = format_fig5([dict(graph="g", eps=0.2, forest_rd=0.01, schur_rd=0.005)])
+        md = markdown((["graph", "ε", "F", "S"], [["g", str(0.2), 0.01, 0.005]]))
         assert "| g | 0.2 | 0.0100 | 0.0050 |" in md
 
 
 class TestJobsImportable:
-    @pytest.mark.parametrize(
-        "mod",
-        ["table2", "fig1_effectiveness", "fig23_effectiveness", "fig4_epsilon_runtime", "fig5_epsilon_quality"],
-    )
+    @pytest.mark.parametrize("mod", ["table2"])
     def test_job_has_main(self, mod):
         import importlib.util
-        import sys
         from pathlib import Path
 
-        jobs = Path(__file__).resolve().parent.parent / "jobs"
-        sys.path.insert(0, str(jobs))
-        try:
-            spec = importlib.util.spec_from_file_location(mod, jobs / f"{mod}.py")
-            m = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(m)
-            assert callable(m.main)
-        finally:
-            sys.path.remove(str(jobs))
+        path = Path(__file__).resolve().parent.parent / "jobs" / f"{mod}.py"
+        spec = importlib.util.spec_from_file_location(f"job_{mod}", path)
+        m = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(m)
+        assert callable(m.main)

@@ -46,3 +46,19 @@ def test_disconnected_graph_rejected(run):
 def test_approx_draws_no_forests(karate):
     res = approx_greedy(None, karate, 3, Params(eps=0.3))
     assert res.forests_per_iter == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, k: forest_cfcm(None, g, k, Params(eps=0.3)),
+        lambda g, k: schur_cfcm(None, g, k, Params(eps=0.3)),
+        lambda g, k: approx_greedy(None, g, k, Params(eps=0.3)),
+        lambda g, k: exact_greedy(g, k),
+    ],
+    ids=["forest", "schur", "approx", "exact"],
+)
+def test_shorter_run_is_prefix(karate, run):
+    # Iteration i's seed is params.seed + 1000·i whatever k is, so one
+    # k = 20 sweep serves every smaller k (repro.experiments.table2).
+    assert run(karate, 4).S == run(karate, 8).S[:4]
