@@ -5,9 +5,9 @@ Hutchinson trace estimator over CG solves (the paper likewise switches
 to the conjugate-gradient method for large-graph effectiveness checks,
 Section V-B2). The Hutchinson probes are distributed over Spark tasks.
 
-Evaluation is paired: every caller keeps the default ``seed=0``, so all
-groups scored on a graph see the same probe draws, each zeroed on its
-own group. Differences between algorithms' groups are then not
+Evaluation is paired: :func:`cfcc_of_set` always draws 64 probes with
+seed 0, so all groups scored on a graph see the same probe draws, each
+zeroed on its own group. Differences between algorithms' groups are then not
 independent probe noise (``tests/test_heuristics_evaluate.py`` pins this).
 """
 from __future__ import annotations
@@ -31,13 +31,7 @@ def cfcc_dense(g: CSRGraph, S) -> float:
 
 
 def cfcc_hutchinson(
-    spark: SparkSession | None,
-    g: CSRGraph,
-    S,
-    *,
-    n_probes: int = 64,
-    tol: float = 1e-7,
-    seed: int = 0,
+    spark: SparkSession | None, g: CSRGraph, S, *, n_probes: int = 64, seed: int = 0
 ) -> float:
     """``C(S) = n / Tr(L_{-S}^{-1})`` with Hutchinson + CG trace estimation."""
     S = list(S)
@@ -46,15 +40,15 @@ def cfcc_hutchinson(
     rng = np.random.default_rng(seed)
     probes = [np.where(mask, 0.0, rng.choice(np.array([-1.0, 1.0]), size=g.n)) for _ in range(n_probes)]
 
-    vals = fan_out(spark, g, probes, lambda g, q: float(q @ solve_submatrix(g, q, S, tol=tol)))
+    vals = fan_out(spark, g, probes, lambda g, q: float(q @ solve_submatrix(g, q, S, tol=1e-7)))
     return g.n / float(np.mean(vals))
 
 
-def cfcc_of_set(spark: SparkSession | None, g: CSRGraph, S, **kw) -> float:
-    """Dense below ``_DENSE_LIMIT`` nodes, Hutchinson+CG above."""
+def cfcc_of_set(spark: SparkSession | None, g: CSRGraph, S) -> float:
+    """Dense below ``_DENSE_LIMIT`` nodes, Hutchinson+CG (64 probes, seed 0) above."""
     if g.n <= _DENSE_LIMIT:
         return cfcc_dense(g, S)
-    return cfcc_hutchinson(spark, g, S, **kw)
+    return cfcc_hutchinson(spark, g, S)
 
 
 def relative_difference(c_algo: float, c_ref: float) -> float:

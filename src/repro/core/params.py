@@ -20,7 +20,8 @@ __all__ = ["Params"]
 class Params:
     """Knobs shared by FORESTCFCM / SCHURCFCM / APPROXGREEDY.
 
-    ``eps`` sets both the JL width ``jl_width(n)`` and the fixed forest
+    ``eps`` is the one accuracy dial, as in the paper: it sets both the JL
+    width ``jl_width(n)`` = max(8, ⌈0.25·ε⁻²·log₂ n⌉) and the fixed forest
     budget ``sample.max_forests(n, eps)`` = ⌈r_c·ε⁻²·log₂ 2n⌉ that every
     sampling call draws in one Spark job. There is no adaptive stop: the
     paper's empirical Bernstein stop (Lemma 3.6) never fired before that
@@ -28,11 +29,10 @@ class Params:
     """
 
     eps: float = 0.2
-    jl_coeff: float = 0.25  # w = max(8, ceil(jl_coeff * eps^-2 * log2 n))
     seed: int = 0
     sample: SampleConfig = field(default_factory=SampleConfig)
     cg_tol: float = 1e-6  # APPROXGREEDY solver tolerance
 
     def jl_width(self, n: int) -> int:
         """Practical JL width, keeping the paper's ``ε⁻² log n`` scaling."""
-        return max(8, int(np.ceil(self.jl_coeff * self.eps**-2 * np.log2(max(n, 2)))))
+        return max(8, int(np.ceil(0.25 * self.eps**-2 * np.log2(max(n, 2)))))

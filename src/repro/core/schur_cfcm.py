@@ -23,21 +23,21 @@ from repro.graph.csr import CSRGraph
 __all__ = ["select_T", "schur_complement_from_counts", "schur_delta", "schur_cfcm"]
 
 
-def select_T(g: CSRGraph, c: int | None = None) -> list[int]:
-    """Hub root set ``T`` (Algorithm 5, line 1 + the ``|T*|`` rule of §V-A).
+def select_T(g: CSRGraph) -> list[int]:
+    """Hub root set ``T*`` (Algorithm 5, line 1 + the ``|T*|`` rule of §V-A).
 
-    Repeatedly removes the max-degree node of the remaining graph. With
-    ``c`` given, returns the first ``c`` hubs; otherwise returns the
-    prefix of size ``|T*| = argmin_{|T|} | |T| − d_max(T) |`` where
-    ``d_max(T)`` is the max degree after removing ``T``.
+    Repeatedly removes the max-degree node of the remaining graph and
+    returns the prefix of size ``|T*| = argmin_i |i − d_max(T_i)|`` (the
+    first minimum), where ``d_max(T_i)`` is the max degree after removing
+    the first ``i`` hubs. The gap ``i − d_max(T_i)`` strictly increases
+    with ``i``, so the argmin is the first ``i`` with a gap ≥ 0 or the
+    one before it, and the removals stop there.
     """
-    n = g.n
-    limit = c if c is not None else max(4, min(n // 3, 2000))
     deg = g.degrees.astype(np.int64).copy()
-    removed = np.zeros(n, dtype=bool)
+    removed = np.zeros(g.n, dtype=bool)
     order: list[int] = []
-    dmax_after: list[int] = []
-    for _ in range(min(limit, n - 1)):
+    gap = 0
+    while True:
         u = int(np.argmax(np.where(removed, -1, deg)))
         removed[u] = True
         deg[u] = 0
@@ -45,12 +45,9 @@ def select_T(g: CSRGraph, c: int | None = None) -> list[int]:
         live = nbrs[~removed[nbrs]]
         np.subtract.at(deg, live, 1)
         order.append(u)
-        dmax_after.append(int(deg.max()))
-    if c is not None:
-        return order[:c]
-    sizes = np.arange(1, len(order) + 1)
-    best = int(np.argmin(np.abs(sizes - np.asarray(dmax_after))))
-    return order[: best + 1]
+        prev, gap = gap, len(order) - int(deg.max())
+        if gap >= 0:
+            return order[:-1] if len(order) > 1 and -prev <= gap else order
 
 
 def schur_delta(
@@ -64,14 +61,14 @@ def schur_delta(
 
 
 def schur_cfcm(
-    spark: SparkSession | None, g: CSRGraph, k: int, params: Params | None = None, *, c: int | None = None
+    spark: SparkSession | None, g: CSRGraph, k: int, params: Params | None = None
 ) -> GreedyResult:
     """SCHURCFCM (Algorithm 5): greedy size-``k`` CFCM with hub root set."""
     params = params or Params()
     T: list[int] = []
 
     def first() -> tuple[np.ndarray, int]:
-        T.extend(select_T(g, c))  # line 1, timed as part of the run
+        T.extend(select_T(g))  # line 1, timed as part of the run
         return first_node_scores(spark, g, params)
 
     def step(S: list[int], seed: int) -> tuple[np.ndarray, int]:

@@ -91,13 +91,13 @@ class GraphRuns:
         return None if res is None else res.S
 
 
-def sweep(spark: SparkSession | None, graphs: list[str], log=print) -> list[GraphRuns]:
+def sweep(spark: SparkSession | None, graphs: list[str]) -> list[GraphRuns]:
     """Run every ``(graph, algorithm, ε)`` greedy call once at ``k = K``."""
     out: list[GraphRuns] = []
     for name in graphs:
         g = build_graph(name)
         stats = graph_stats(g)
-        log(f"[table2] {name}: n={g.n} m={g.m} tau={stats['tau']} |T*|={stats['t_star']}")
+        print(f"[table2] {name}: n={g.n} m={g.m} tau={stats['tau']} |T*|={stats['t_star']}")
         calls = {}
         if g.n <= EXACT_LIMIT:
             calls["EXACT", None] = partial(exact_greedy, g, K)
@@ -109,7 +109,7 @@ def sweep(spark: SparkSession | None, graphs: list[str], log=print) -> list[Grap
         results = {}
         for (algo, eps), call in calls.items():
             results[algo, eps] = res = call()
-            log(f"  {name} {algo} eps={eps} k={K}: {res.seconds:.2f}s")
+            print(f"  {name} {algo} eps={eps} k={K}: {res.seconds:.2f}s")
         out.append(GraphRuns(name, g, stats, results))
     return out
 
@@ -170,12 +170,12 @@ def fig5(spark: SparkSession | None, runs: list[GraphRuns]) -> Table:
     return ["graph", "ε", "FOREST rel. diff", "SCHUR rel. diff"], rows
 
 
-def fig1(spark: SparkSession | None, graphs: list[str] = TINY, log=print) -> Table:
-    """Fig. 1: ``C(S)`` of every algorithm vs the brute-force optimum on tiny graphs."""
+def fig1(spark: SparkSession | None) -> Table:
+    """Fig. 1: ``C(S)`` of every algorithm vs the brute-force optimum on the ``TINY`` graphs."""
     rows = []
-    for name in graphs:
+    for name in TINY:
         g = build_graph(name)
-        log(f"[fig1] {name} (n={g.n})")
+        print(f"[fig1] {name} (n={g.n})")
         p = Params(eps=EPS)
         groups = [
             exact_greedy(g, FIG1_K).S,

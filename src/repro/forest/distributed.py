@@ -3,10 +3,10 @@
 Implements the ``for i = 1..2^{r'} do in parallel`` loops of Algorithms
 2–5: forest *chunks* (a seed plus a count) are fanned out with
 :func:`repro.fanout.fan_out`. Each Spark task runs the cycle-popping
-sampler against the broadcast payload (CSR graph, BFS tree, weights) and
-sums dense counter arrays (the per-forest contributions of
-``repro.forest.estimators``); partitions are combined with
-``treeReduce``. Shuffle volume per call is O(w·n), independent of the
+sampler against the broadcast payload (CSR graph, BFS tree, the weights'
+BFS-subtree sums) and sums dense counter arrays (the per-forest
+contributions of ``repro.forest.estimators``); partitions are combined
+with ``treeReduce``. Shuffle volume per call is O(w·n), independent of the
 number of forests. A chunk is the atomic determinism unit: every chunk's
 sums are identical on any executor. With ``spark=None`` the driver folds
 the same chunks with the same function, so local and Spark runs differ
@@ -32,6 +32,7 @@ from pyspark.sql import SparkSession
 
 from repro.fanout import fan_out
 from repro.forest.estimators import BFSTree, bfs_tree_for_roots, chunk_stats
+from repro.forest.wilson import subtree_sums_T
 from repro.graph.csr import CSRGraph
 
 __all__ = ["ForestStats", "SampleConfig", "adaptive_forest_stats"]
@@ -91,8 +92,8 @@ class SampleConfig:
 
 def _chunk(payload: tuple, chunk: tuple[int, int]) -> ForestStats:
     """Stats of one ``(seed, count)`` chunk: the unit every task runs."""
-    g, bfs, W_T, t_col, n_t = payload
-    return ForestStats(*chunk_stats(g, bfs, W_T, t_col, n_t, *chunk))
+    g, bfs, BW_T, t_col, n_t = payload
+    return ForestStats(*chunk_stats(g, bfs, BW_T, t_col, n_t, *chunk))
 
 
 def adaptive_forest_stats(
@@ -113,10 +114,11 @@ def adaptive_forest_stats(
     whose rows are telescoped into ``Ŷ`` (columns at roots must be zero).
     ``t_nodes`` requests absorption counts toward those roots
     (SCHURDELTA). Returns the accumulated stats and the BFS tree used for
-    telescoping.
+    telescoping. ``W``'s BFS-subtree sums ``BW`` depend only on the call,
+    so they are computed here once and every chunk reads them.
     """
     bfs = bfs_tree_for_roots(g, roots)
-    W_T = np.ascontiguousarray(W.T) if W is not None else None
+    BW_T = None if W is None else subtree_sums_T(bfs.parent, bfs.depth, np.ascontiguousarray(W.T))
     t_col = None
     n_t = 0
     if t_nodes:
@@ -128,5 +130,5 @@ def adaptive_forest_stats(
     cap = config.max_forests(g.n, eps)
     base_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
     chunks = [(base_seed + o, min(_CHUNK, cap - o)) for o in range(0, cap, _CHUNK)]
-    payload = (g, bfs, W_T, t_col, n_t)
+    payload = (g, bfs, BW_T, t_col, n_t)
     return fan_out(spark, payload, chunks, _chunk, ForestStats.add), bfs

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.forest.wilson import depth_buckets, forest_depths, sample_forests, subtree_sums_T
+from repro.forest.wilson import depth_buckets, forest_depths, sample_forests
 from repro.graph.csr import CSRGraph, local_bfs_tree
 
 __all__ = [
@@ -88,19 +88,19 @@ def telescope(bfs: BFSTree, delta: np.ndarray) -> np.ndarray:
     return phi
 
 
-def forest_path_sums(bfs: BFSTree, W_T: np.ndarray, parents: np.ndarray) -> np.ndarray:
+def forest_path_sums(bfs: BFSTree, BW_T: np.ndarray, parents: np.ndarray) -> np.ndarray:
     """``Σ_f Ŷ_f`` as ``(n, w)`` over the forests of ``parents`` (``(count, n)``).
 
-    The forests must be rooted at ``bfs.roots``.
+    The forests must be rooted at ``bfs.roots``. ``BW_T`` is
+    ``subtree_sums_T(bfs.parent, bfs.depth, W_T)``: the ``(n, w)``
+    BFS-subtree sums of the weights, computed once per sampling call.
 
     Each forest's ``Ŷ_f[:, u]`` sums, down ``u``'s own forest path, the
     BFS-subtree sum ``BW`` of every BFS edge the path uses, signed by
-    direction (DESIGN.md §2). ``BW`` is one subtree pass over the BFS
-    tree; the path sums are one gather-add per forest level over flat
-    ``(forest, node)`` ids.
+    direction (DESIGN.md §2). The path sums are one gather-add per forest
+    level over flat ``(forest, node)`` ids.
     """
     count, n = parents.shape
-    BW_T = subtree_sums_T(bfs.parent, bfs.depth, W_T)
     nodes = np.arange(n)
     nonroot = parents >= 0
     safe = np.where(nonroot, parents, 0)
@@ -120,7 +120,7 @@ def forest_path_sums(bfs: BFSTree, W_T: np.ndarray, parents: np.ndarray) -> np.n
 def chunk_stats(
     g: CSRGraph,
     bfs: BFSTree,
-    W_T: np.ndarray | None,
+    BW_T: np.ndarray | None,
     t_col: np.ndarray | None,
     n_t: int,
     seed: int,
@@ -129,6 +129,8 @@ def chunk_stats(
     """Sample ``count`` forests (one vectorized batch) and sum contributions.
 
     The forests come from one ``np.random.default_rng(seed)`` stream.
+    ``BW_T`` is the weights' BFS-subtree sums (see :func:`forest_path_sums`),
+    or None to skip ``Ŷ``.
 
     Returns ``(count, z_sum, y_sum_T, root_counts)``; ``y_sum_T``
     is ``(n, w)`` and ``root_counts`` is ``(n, n_t)`` (``t_col`` may be
@@ -143,7 +145,7 @@ def chunk_stats(
     fwd, rev = forest_masks(parents, bfs)
     z = telescope(bfs, np.ascontiguousarray((fwd.astype(np.float64) - rev).T))
     z_sum = z.sum(axis=1)
-    y_sum_T = None if W_T is None else forest_path_sums(bfs, W_T, parents)
+    y_sum_T = None if BW_T is None else forest_path_sums(bfs, BW_T, parents)
     rc = np.zeros((n, n_t))
     if n_t:
         cols = t_col[roots_of]

@@ -142,9 +142,9 @@ def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np
 
     ``X_T`` has shape ``(n, w)``; processes depth levels bottom-up with a
     per-parent segment reduce so siblings sharing a parent accumulate
-    correctly. The estimators call it once per chunk on the BFS tree
-    (3–5 levels on BA graphs), for the weights ``BW`` that each forest
-    path then sums (DESIGN.md §2); any forest of parent pointers works.
+    correctly. The sampling call runs it once on the BFS tree (3–5
+    levels on BA graphs), for the weights ``BW`` that each forest path
+    then sums (DESIGN.md §2); any forest of parent pointers works.
     """
     ST = X_T.copy()
     maxd = int(depth.max()) if len(depth) else 0

@@ -36,7 +36,8 @@ def laplacian_matvec(g: CSRGraph, x: np.ndarray, mask_S: np.ndarray | None = Non
     return y
 
 
-def _cg(matvec, b: np.ndarray, M_inv: np.ndarray, *, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _cg(matvec, b: np.ndarray, M_inv: np.ndarray, *, tol: float) -> tuple[np.ndarray, int]:
+    max_iter = max(200, 4 * int(np.sqrt(len(b))) * 10)
     x = np.zeros_like(b)
     r = b.copy()
     z = M_inv * r
@@ -60,40 +61,25 @@ def _cg(matvec, b: np.ndarray, M_inv: np.ndarray, *, tol: float, max_iter: int) 
     return x, max_iter
 
 
-def solve_submatrix(
-    g: CSRGraph,
-    b: np.ndarray,
-    S,
-    *,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> np.ndarray:
+def solve_submatrix(g: CSRGraph, b: np.ndarray, S, *, tol: float = 1e-8) -> np.ndarray:
     """Solve ``L_{-S} x = b`` (inputs/outputs zero at nodes of ``S``)."""
     mask = np.zeros(g.n, dtype=bool)
     mask[np.asarray(list(S), dtype=np.int64)] = True
     b = np.where(mask, 0.0, b)
     M_inv = np.where(mask, 0.0, 1.0 / np.maximum(g.degrees, 1))
-    max_iter = max_iter or max(200, 4 * int(np.sqrt(g.n)) * 10)
-    x, _ = _cg(lambda v: laplacian_matvec(g, v, mask), b, M_inv, tol=tol, max_iter=max_iter)
+    x, _ = _cg(lambda v: laplacian_matvec(g, v, mask), b, M_inv, tol=tol)
     return np.where(mask, 0.0, x)
 
 
-def solve_pinv(
-    g: CSRGraph,
-    b: np.ndarray,
-    *,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> np.ndarray:
+def solve_pinv(g: CSRGraph, b: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
     """``x ≈ L† b``: CG on the 1-orthogonal complement (connected graphs)."""
     n = g.n
     b = b - b.mean()
     M_inv = 1.0 / np.maximum(g.degrees, 1)
-    max_iter = max_iter or max(200, 4 * int(np.sqrt(n)) * 10)
 
     def mv(v: np.ndarray) -> np.ndarray:
         out = laplacian_matvec(g, v)
         return out - out.mean()  # stay on 1⊥ despite roundoff
 
-    x, _ = _cg(mv, b, M_inv, tol=tol, max_iter=max_iter)
+    x, _ = _cg(mv, b, M_inv, tol=tol)
     return x - x.mean()

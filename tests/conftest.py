@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.params import Params
-from repro.forest.distributed import SampleConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert, grid2d, karate_club, ring_with_shortcuts
 
@@ -35,11 +34,7 @@ def road120() -> CSRGraph:
 @pytest.fixture()
 def params_fast() -> Params:
     """Low-sample preset: quick, still accurate enough for argmax checks."""
-    return Params(
-        eps=0.3,
-        jl_coeff=1.0,
-        sample=SampleConfig(r_coeff=8),
-    )
+    return Params(eps=0.15)
 
 
 @pytest.fixture(scope="session")

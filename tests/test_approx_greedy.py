@@ -8,7 +8,7 @@ from repro.core.exact import exact_greedy
 from repro.core.params import Params
 from repro.linalg.laplacian import laplacian_dense, laplacian_pinv, submatrix_inverse
 
-WIDE = Params(eps=0.2, jl_coeff=8.0)  # wide projection for accuracy tests
+WIDE = Params(eps=0.2 / np.sqrt(32))  # wide projection for accuracy tests: w = 1018 on karate
 
 
 class TestDiagEstimates:

@@ -5,8 +5,6 @@ from repro.experiments import table2 as harness
 from repro.experiments.graphs import SUITE, TINY, build_graph, graph_stats
 from repro.experiments.table2 import PAPER_TABLE2, GraphRuns, fig1, fig5, fig23, markdown, sweep, table2
 
-QUIET = dict(log=lambda *a: None)
-
 
 @pytest.fixture()
 def small_sweep(monkeypatch):
@@ -55,7 +53,7 @@ class TestSuite:
 
 class TestTable2Harness:
     def test_miniature_run(self, small_sweep):
-        (run,) = sweep(None, ["karate"], **QUIET)
+        (run,) = sweep(None, ["karate"])
         assert run.stats == graph_stats(build_graph("karate"))
         assert set(run.results) == {
             ("EXACT", None), ("APPROX", 0.3),
@@ -66,7 +64,7 @@ class TestTable2Harness:
     def test_limits_skip_baselines(self, small_sweep, monkeypatch):
         monkeypatch.setattr(harness, "EXACT_LIMIT", 10)
         monkeypatch.setattr(harness, "APPROX_LIMIT", 10)
-        runs = sweep(None, ["karate"], **QUIET)
+        runs = sweep(None, ["karate"])
         assert {a for a, _ in runs[0].results} == {"FOREST", "SCHUR"}
         (row,) = table2(runs)[1]
         assert row[5] is None and row[6] is None  # EXACT, APPROX
@@ -80,8 +78,9 @@ class TestTable2Harness:
 
 
 class TestEffectivenessHarnesses:
-    def test_fig1_miniature(self, small_sweep):
-        header, rows = fig1(None, ["karate"], **QUIET)
+    def test_fig1_miniature(self, small_sweep, monkeypatch):
+        monkeypatch.setattr(harness, "TINY", ["karate"])
+        header, rows = fig1(None)
         assert header[2:] == ["OPT", "EXACT", "APPROX", "FOREST", "SCHUR"]
         assert [r[1] for r in rows] == [1, 2]
         for r in rows:
@@ -89,7 +88,7 @@ class TestEffectivenessHarnesses:
             assert all(r[2] >= v - 1e-9 for v in r[3:])
 
     def test_fig23_miniature(self, small_sweep):
-        header, rows = fig23(None, sweep(None, ["karate"], **QUIET))
+        header, rows = fig23(None, sweep(None, ["karate"]))
         assert header[2:] == ["DEGREE", "TOP-CFCC", "EXACT", "APPROX", "FOREST", "SCHUR"]
         assert [r[1] for r in rows] == [1, 3]
         assert all(v is not None for r in rows for v in r)
@@ -112,14 +111,14 @@ class TestEffectivenessHarnesses:
         assert row[3] == evaluate.cfcc_of_set(None, g, top)
 
     def test_fig5_miniature(self, small_sweep):
-        header, rows = fig5(None, sweep(None, ["karate"], **QUIET))
+        header, rows = fig5(None, sweep(None, ["karate"]))
         assert [r[1] for r in rows] == ["0.4", "0.3"]
         for r in rows:
             assert abs(r[2]) < 0.2 and abs(r[3]) < 0.2
 
     def test_fig4_miniature(self, small_sweep):
         # Fig. 4 is Table II's ε columns: FOREST and SCHUR seconds at each ε.
-        header, (row,) = table2(sweep(None, ["karate"], **QUIET))
+        header, (row,) = table2(sweep(None, ["karate"]))
         assert header[7:] == ["F ε=0.4", "F ε=0.3", "S ε=0.4", "S ε=0.3"]
         assert all(float(v) > 0 for v in row[7:])
 

@@ -9,7 +9,7 @@ from repro.core.params import Params
 from repro.forest.distributed import SampleConfig
 from repro.linalg.laplacian import laplacian_dense, marginal_gain_all_exact
 
-ACC = Params(eps=0.2, jl_coeff=2.0, sample=SampleConfig(r_coeff=41))  # 6240 forests on karate
+ACC = Params(eps=0.2 / np.sqrt(8), sample=SampleConfig(r_coeff=5.125))  # w = 255, 6240 forests on karate
 
 
 class TestForestDelta:

@@ -17,7 +17,7 @@ from repro.forest.estimators import (
     forest_path_sums,
     telescope,
 )
-from repro.forest.wilson import sample_forest
+from repro.forest.wilson import sample_forest, subtree_sums_T
 from repro.graph.csr import CSRGraph
 from repro.linalg.laplacian import (
     absorption_probabilities,
@@ -142,7 +142,8 @@ class TestForestPathSums:
         W = np.random.default_rng(8).standard_normal((3, g.n))
         W[:, roots] = 0.0
         bfs = bfs_tree_for_roots(g, roots)
-        mean = forest_path_sums(bfs, np.ascontiguousarray(W.T), forests) / len(forests)
+        BW_T = subtree_sums_T(bfs.parent, bfs.depth, np.ascontiguousarray(W.T))
+        mean = forest_path_sums(bfs, BW_T, forests) / len(forests)
         M, keep = submatrix_inverse(laplacian_dense(g), roots)
         true = np.zeros((g.n, 3))
         true[keep] = M @ W[:, keep].T
@@ -160,11 +161,11 @@ class TestForestPathSums:
         bfs = bfs_tree_for_roots(karate, roots)
         W = np.random.default_rng(6).choice([-1.0, 1.0], size=(4, karate.n))
         W[:, roots] = 0.0
-        W_T = np.ascontiguousarray(W.T)
+        BW_T = subtree_sums_T(bfs.parent, bfs.depth, np.ascontiguousarray(W.T))
         t_col = np.full(karate.n, -1, dtype=np.int64)
         t_col[T] = np.arange(len(T))
         per_chunk = np.array([
-            chunk_stats(karate, bfs, W_T, t_col, len(T), 1000 + c, 16)[2] / 16
+            chunk_stats(karate, bfs, BW_T, t_col, len(T), 1000 + c, 16)[2] / 16
             for c in range(256)
         ])
         M, keep = submatrix_inverse(laplacian_dense(karate), roots)
@@ -243,8 +244,8 @@ class TestChunkStats:
         rng = np.random.default_rng(0)
         W = rng.choice([-1.0, 1.0], size=(3, karate.n))
         W[:, S] = 0.0
-        W_T = np.ascontiguousarray(W.T)
-        n_tot, z_sum, y_sum_T, _ = chunk_stats(karate, bfs, W_T, None, 0, 7, 4000)
+        BW_T = subtree_sums_T(bfs.parent, bfs.depth, np.ascontiguousarray(W.T))
+        n_tot, z_sum, y_sum_T, _ = chunk_stats(karate, bfs, BW_T, None, 0, 7, 4000)
         M, keep = submatrix_inverse(laplacian_dense(karate), S)
         diag_true = np.zeros(karate.n)
         diag_true[keep] = np.diag(M)

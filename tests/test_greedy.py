@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import schur_cfcm as schur_cfcm_module
 from repro.core.approx import approx_greedy
 from repro.core.exact import exact_greedy
 from repro.core.forest_cfcm import forest_cfcm
@@ -11,10 +12,11 @@ from repro.graph.csr import CSRGraph
 
 
 @pytest.mark.parametrize("graph", ["karate", "ba200"])
-def test_schur_without_hubs_is_forest(request, graph, params_fast):
-    # c = 0 gives T = [], so every SCHURDELTA call is FORESTDELTA.
+def test_schur_without_hubs_is_forest(request, graph, params_fast, monkeypatch):
+    # With T = [], every SCHURDELTA call is FORESTDELTA.
+    monkeypatch.setattr(schur_cfcm_module, "select_T", lambda g: [])
     g = request.getfixturevalue(graph)
-    schur = schur_cfcm(None, g, 4, params_fast, c=0)
+    schur = schur_cfcm(None, g, 4, params_fast)
     forest = forest_cfcm(None, g, 4, params_fast)
     assert schur.S == forest.S
     assert schur.forests_per_iter == forest.forests_per_iter

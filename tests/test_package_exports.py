@@ -1,8 +1,16 @@
-"""Every module under ``repro`` imports, its ``__all__`` names resolve, and the program uses it."""
+"""Every module under ``repro`` imports, its ``__all__`` names resolve, and the program uses it.
+
+The benchmark's tracer (``cfcmbench/tracing.py``) binds program functions
+by name and reads some of their parameters; the last tests pin the names
+and signatures it relies on, so that a rename fails here rather than
+silently dropping per-layer metrics from ``cfcmbench/run.py --trace 1``.
+"""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +61,46 @@ def test_every_module_is_reached_by_the_program():
         ):
             unreached.append(name)
     assert not unreached, f"modules no program file imports: {unreached}"
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    """``cfcmbench/tracing.py``, loaded read-only under a private module name."""
+    spec = importlib.util.spec_from_file_location("cfcmbench_tracing", ROOT / "cfcmbench" / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_finds_its_functions(tracing):
+    # These three were already gone when the contract was pinned (FORESTDELTA
+    # moved to forest_cfcm); nothing else may go missing.
+    known = {
+        "repro.core.schur_cfcm.forest_delta",
+        "repro.core.schur_cfcm.adaptive_forest_stats",
+        "repro.core.schur_cfcm.rademacher_matrix",
+    }
+    assert set(tracing.missing_functions()) <= known
+
+
+def test_tracer_signatures(karate):
+    from repro.core.approx import jl_diag_estimates
+    from repro.core.params import Params
+    from repro.forest.distributed import adaptive_forest_stats
+    from repro.forest.estimators import chunk_stats
+
+    # The tracer binds these calls' arguments and reads them by name.
+    sampling = inspect.signature(adaptive_forest_stats).parameters
+    assert {"g", "roots", "W", "eps", "t_nodes", "seed", "config"} <= set(sampling)
+    assert {"g", "S", "params", "seed"} <= set(inspect.signature(jl_diag_estimates).parameters)
+    # It calls chunk_stats with 7 positional arguments.
+    positional = [p for p in inspect.signature(chunk_stats).parameters.values()
+                  if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
+    assert len(positional) == 7
+    # It reads the forest count off the first element of the sampling call's result.
+    stats, _ = adaptive_forest_stats(None, karate, [33], None, 0.4)
+    assert stats.n_forests > 0
+    params = Params()
+    assert params.cg_tol > 0 and params.jl_width(karate.n) >= 8
+    assert params.sample.max_forests(karate.n, params.eps) > 0

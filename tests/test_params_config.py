@@ -30,7 +30,7 @@ class TestParams:
         assert p.eps == 0.2
 
     def test_jl_width_floor(self):
-        assert Params(eps=0.9, jl_coeff=0.001).jl_width(10) == 8
+        assert Params(eps=10.0).jl_width(10) == 8
 
     def test_independent_sample_instances(self):
         # default_factory: two Params must not share a SampleConfig identity

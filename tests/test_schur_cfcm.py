@@ -14,21 +14,45 @@ from repro.core.schur_cfcm import (
 from repro.forest.distributed import SampleConfig, adaptive_forest_stats
 from repro.linalg.laplacian import laplacian_dense, marginal_gain_all_exact, schur_complement
 
-ACC = Params(eps=0.2, jl_coeff=2.0, sample=SampleConfig(r_coeff=41))  # 6240 forests on karate
+ACC = Params(eps=0.2 / np.sqrt(8), sample=SampleConfig(r_coeff=5.125))  # w = 255, 6240 forests on karate
 BIG = SampleConfig(r_coeff=27)  # 4110 forests on karate at eps=0.2
+
+
+def _brute_force_t_star(g):
+    """``argmin_i |i − d_max(T_i)|`` (first minimum) over the full removal order."""
+    deg = g.degrees.astype(np.int64).copy()
+    removed = np.zeros(g.n, dtype=bool)
+    order, gaps = [], []
+    for _ in range(g.n - 1):
+        u = int(np.argmax(np.where(removed, -1, deg)))
+        removed[u] = True
+        deg[u] = 0
+        for v in g.neighbors(u):
+            if not removed[v]:
+                deg[v] -= 1
+        order.append(u)
+        gaps.append(abs(len(order) - int(deg.max())))
+    return order[: int(np.argmin(gaps)) + 1]
 
 
 class TestSelectT:
     def test_explicit_c(self, karate):
-        T = select_T(karate, 3)
-        assert len(T) == 3
+        T = select_T(karate)
+        assert len(T) == 5  # karate's |T*|
         assert T[0] == 33  # max-degree hub first
 
     def test_hub_order(self, ba200):
-        T = select_T(ba200, 5)
+        T = select_T(ba200)
         # First hub must be the global max degree.
         assert T[0] == int(np.argmax(ba200.degrees))
-        assert len(set(T)) == 5
+        assert len(set(T)) == len(T)
+
+    @pytest.mark.parametrize("graph", ["zebra", "karate", "ba200", "road120"])
+    def test_matches_brute_force_argmin(self, request, graph):
+        from repro.experiments.graphs import build_graph
+
+        g = build_graph("zebra") if graph == "zebra" else request.getfixturevalue(graph)
+        assert select_T(g) == _brute_force_t_star(g)
 
     def test_auto_size_rule(self, ba200):
         # |T*| balances |T| against the residual max degree.
@@ -117,7 +141,7 @@ class TestSchurCFCM:
 
     def test_t_can_be_selected_into_s(self, karate):
         # Greedy picks hubs; T shrinks via T \\ S without crashing.
-        res = schur_cfcm(None, karate, 5, ACC, c=3)
+        res = schur_cfcm(None, karate, 5, ACC)
         assert len(set(res.S)) == 5
 
     def test_deterministic(self, karate, params_fast):
