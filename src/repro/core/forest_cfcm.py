@@ -11,7 +11,10 @@ gain is added.
 FORESTDELTA (Algorithm 2) is the ``T = ∅`` case of SCHURDELTA
 (Algorithm 4): with no hub roots, identity (11) reads
 ``L_UU^{-1} = L_{-S}^{-1}`` and every Schur term has width 0. So both
-run one body, ``_schur_delta``, with ``T`` possibly empty.
+run one body with ``T`` possibly empty, in two steps: :func:`rooted_sample`
+draws the forests rooted at ``S ∪ T`` (one sampling job) and
+:func:`read_out` turns them into Δ' on the driver. SCHURCFCM reads one
+sample for several ``S`` (:mod:`repro.core.schur_cfcm`).
 
 :func:`greedy` is the one loop of FORESTCFCM, SCHURCFCM and
 APPROXGREEDY: the timer, the seed schedule and the picks. EXACT keeps
@@ -29,18 +32,25 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.params import Params
-from repro.forest.distributed import adaptive_forest_stats
+from repro.forest.distributed import ForestStats, adaptive_forest_stats
 from repro.forest.estimators import bfs_tree_for_roots
 from repro.graph.csr import CSRGraph
 from repro.linalg.jl import rademacher_matrix
 
 __all__ = ["GreedyResult", "check_input", "greedy", "floored_gains", "first_node_scores",
-           "schur_complement_from_counts", "forest_delta", "forest_cfcm"]
+           "schur_complement_from_counts", "RootedSample", "rooted_sample", "read_out",
+           "forest_delta", "forest_cfcm"]
 
 
 @dataclass
 class GreedyResult:
-    """Output of a greedy CFCM run."""
+    """Output of a greedy CFCM run.
+
+    ``forests_per_iter[i]`` is the number of forests drawn in iteration
+    ``i``: 0 for APPROXGREEDY and for a SCHURCFCM iteration that reads the
+    previous iteration's sample, so a run's sampling jobs are its nonzero
+    entries.
+    """
 
     S: list[int]
     seconds: float
@@ -63,8 +73,8 @@ def greedy(
 ) -> GreedyResult:
     """Greedy size-``k`` group from ``first()`` then ``step(S, seed)`` per pick.
 
-    ``first()`` returns ``(scores, forests)`` and the first node minimizes
-    the scores. ``step`` returns ``(Δ', forests)`` for the current ``S``
+    ``first()`` returns ``(scores, forests drawn)`` and the first node
+    minimizes the scores. ``step`` returns ``(Δ', forests drawn)`` for the current ``S``
     and the next node maximizes ``Δ'``; iteration ``i`` gets the seed
     ``params.seed + 1000·i``.
     """
@@ -132,31 +142,32 @@ def schur_complement_from_counts(
     return S_tilde
 
 
-def _schur_delta(
-    spark: SparkSession | None, g: CSRGraph, S: list[int], T: list[int], params: Params, *, seed: int
-) -> tuple[np.ndarray, int]:
-    """SCHURDELTA (Algorithm 4) with hub roots ``T``; ``T = []`` is FORESTDELTA.
+@dataclass(frozen=True)
+class RootedSample:
+    """One SCHURDELTA sampling call: forests rooted at ``R = S ∪ T`` and its JL matrix.
 
-    Forests are rooted at ``S ∪ T`` and ``L_{-S}^{-1}`` is reconstructed
-    from the block identity (11), ``U = V \\ (S ∪ T)``:
-
-    ```
-    (L_{-S}^{-1})_uu = (L_UU^{-1})_uu + (F S̃⁻¹ Fᵀ)_uu        u ∈ U
-    (L_{-S}^{-1})_tt = (S̃⁻¹)_tt                               t ∈ T
-    [W Q] L_{-S}^{-1} = [W L_UU^{-1} + M S̃⁻¹ Fᵀ  |  M S̃⁻¹],  M = W F + Q
-    ```
-
-    with ``F̃`` the forest-absorption probabilities (Lemma 4.2) and
-    ``S̃ = S̃_T(L_{-S}) = L_TT + L_TU F̃`` the estimated Schur complement
-    (eq. 15), whose small ``|T|×|T|`` inverse is taken densely.
+    ``S`` and ``T`` are the sorted root sets at sampling time; ``T`` orders
+    the columns of ``stats.f_hat``. ``WQ`` is the ``(w, n)`` JL matrix drawn
+    from the call's seed, zero on ``S``, and ``W_u`` is ``WQ`` zeroed on all
+    of ``R`` (the weights the forests carried). The sample reads out for any
+    ``S'`` with ``S ⊆ S' ⊆ R`` (:func:`read_out`): the forests' law depends
+    only on ``R``, and ``W_u`` is zero on all of it.
     """
+
+    S: np.ndarray
+    T: np.ndarray
+    WQ: np.ndarray
+    W_u: np.ndarray
+    stats: ForestStats
+
+
+def rooted_sample(
+    spark: SparkSession | None, g: CSRGraph, S: list[int], T: list[int], params: Params, *, seed: int
+) -> RootedSample:
+    """Draw the forests of SCHURDELTA (Algorithm 4), rooted at ``S ∪ T``, in one sampling job."""
     n = g.n
     S_arr = np.asarray(sorted(S), dtype=np.int64)
     T_ids = np.asarray(sorted(T), dtype=np.int64)
-    roots = np.concatenate([S_arr, T_ids])
-    roots_mask = np.zeros(n, dtype=bool)
-    roots_mask[roots] = True
-
     rng = np.random.default_rng(seed)
     # [W | Q] spans V \ S; W rows weight U sources during sampling, Q is
     # the projection's T block (Algorithm 4 line 4).
@@ -164,13 +175,41 @@ def _schur_delta(
     WQ[:, S_arr] = 0.0
     W_u = WQ.copy()
     W_u[:, T_ids] = 0.0
-
     stats, _ = adaptive_forest_stats(
-        spark, g, roots, W_u, params.eps, t_nodes=T_ids.tolist(), seed=seed, config=params.sample
+        spark, g, np.concatenate([S_arr, T_ids]), W_u, params.eps, t_nodes=T_ids.tolist(), seed=seed,
+        config=params.sample,
     )
-    F_hat = stats.f_hat  # (n, |T|)
+    return RootedSample(S_arr, T_ids, WQ, W_u, stats)
+
+
+def read_out(g: CSRGraph, sample: RootedSample, S) -> np.ndarray:
+    """Δ'(u, S) from ``sample`` (driver algebra only), for ``sample.S ⊆ S ⊆ R``.
+
+    ``L_{-S}^{-1}`` is reconstructed from the block identity (11) with
+    ``T' = R \\ S`` and ``U = V \\ R``:
+
+    ```
+    (L_{-S}^{-1})_uu = (L_UU^{-1})_uu + (F S̃⁻¹ Fᵀ)_uu        u ∈ U
+    (L_{-S}^{-1})_tt = (S̃⁻¹)_tt                               t ∈ T'
+    [W Q] L_{-S}^{-1} = [W L_UU^{-1} + M S̃⁻¹ Fᵀ  |  M S̃⁻¹],  M = W F + Q
+    ```
+
+    with ``F̃`` the forest-absorption probabilities into ``T'`` (Lemma 4.2),
+    ``Q = WQ[:, T']`` and ``S̃ = S̃_{T'}(L_{-S}) = L_{T'T'} + L_{T'U} F̃`` the
+    estimated Schur complement (eq. 15), whose small ``|T'|×|T'|`` inverse
+    is taken densely. Only which roots count as ``S`` and which as ``T'``
+    depends on ``S``; ``L_UU^{-1}``, ``W`` and the forests do not.
+    """
+    stats = sample.stats
+    S_arr = np.asarray(sorted(S), dtype=np.int64)
+    roots_mask = np.zeros(g.n, dtype=bool)
+    roots_mask[sample.S] = True
+    roots_mask[sample.T] = True
+    keep = ~np.isin(sample.T, S_arr)
+    T_ids = sample.T[keep]
+    F_hat = np.ascontiguousarray(stats.f_hat[:, keep])  # (n, |T'|), laid out as a fresh draw's
     S_inv = np.linalg.inv(schur_complement_from_counts(g, T_ids, F_hat, roots_mask))
-    MS = (W_u @ F_hat + WQ[:, T_ids]) @ S_inv  # M S̃⁻¹, (w, |T|)
+    MS = (sample.W_u @ F_hat + sample.WQ[:, T_ids]) @ S_inv  # M S̃⁻¹, (w, |T'|)
     # Denominators (block-diagonal of L_{-S}^{-1}); diag(F S⁻¹ Fᵀ) via BLAS.
     z = stats.z + ((F_hat @ S_inv) * F_hat).sum(axis=1)
     z[T_ids] = np.diag(S_inv)
@@ -178,7 +217,7 @@ def _schur_delta(
     Y = stats.y
     Y += MS @ F_hat.T
     Y[:, T_ids] = MS
-    return floored_gains(g, S_arr, np.einsum("ij,ij->j", Y, Y), z), stats.n_forests
+    return floored_gains(g, S_arr, np.einsum("ij,ij->j", Y, Y), z)
 
 
 def forest_delta(
@@ -188,7 +227,8 @@ def forest_delta(
 
     ``Δ'`` is −inf at nodes of ``S`` so callers can argmax directly.
     """
-    return _schur_delta(spark, g, S, [], params, seed=seed)
+    sample = rooted_sample(spark, g, S, [], params, seed=seed)
+    return read_out(g, sample, S), sample.stats.n_forests
 
 
 def forest_cfcm(

@@ -15,13 +15,16 @@ table is read off the stored results of those calls:
   run, because iteration ``i`` gets the seed ``params.seed + 1000·i``
   whatever k is (``tests/test_greedy.py`` pins this).
 
+Figs. 2–3 and 5 score each distinct group once per graph
+(:meth:`GraphRuns.cfcc`).
+
 :func:`fig1` runs on its own: tiny graphs, ``C(S)`` of every algorithm
 vs the brute-force optimum for ``k = 1..FIG1_K``. Each table is a
 ``(header, rows)`` pair that :func:`markdown` formats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from pyspark.sql import SparkSession
@@ -78,12 +81,26 @@ class GraphRuns:
     """One graph's sweep: its Table II stats and every greedy result.
 
     ``results`` is keyed by ``(algorithm, ε)``; EXACT's ε is ``None``.
+    ``scores`` memoises :meth:`cfcc` by group.
     """
 
     name: str
     g: CSRGraph
     stats: dict
     results: dict[tuple[str, float | None], GreedyResult]
+    scores: dict[frozenset[int], float] = field(default_factory=dict, repr=False)
+
+    def cfcc(self, spark: SparkSession | None, S) -> float:
+        """``C(S)``, scored once per distinct group: it depends only on the set.
+
+        Figs. 2–3 and 5 score the same groups again (prefixes that several
+        algorithms share, fig5's k = 10 cells that are fig23's), and on
+        ba-2000-d8 one dense score costs about 0.66 s.
+        """
+        key = frozenset(S)
+        if key not in self.scores:
+            self.scores[key] = cfcc_of_set(spark, self.g, S)
+        return self.scores[key]
 
     def group(self, algo: str, eps: float | None) -> list[int] | None:
         """The size-``K`` group of one call, ``None`` if it was skipped."""
@@ -150,8 +167,7 @@ def fig23(spark: SparkSession | None, runs: list[GraphRuns]) -> Table:
         groups = [degree_baseline(g, K), top, r.group("EXACT", None),
                   r.group("APPROX", EPS), r.group("FOREST", EPS), r.group("SCHUR", EPS)]
         for k in FIG23_KS:
-            rows.append([r.name, k, *(None if S is None else cfcc_of_set(spark, g, S[:k])
-                                      for S in groups)])
+            rows.append([r.name, k, *(None if S is None else r.cfcc(spark, S[:k]) for S in groups)])
     return ["graph", "k", *algos], rows
 
 
@@ -162,10 +178,10 @@ def fig5(spark: SparkSession | None, runs: list[GraphRuns]) -> Table:
         exact = r.group("EXACT", None)
         if exact is None:
             continue
-        c_exact = cfcc_of_set(spark, r.g, exact[:FIG5_K])
+        c_exact = r.cfcc(spark, exact[:FIG5_K])
         for eps in EPS_GRID:
             rows.append([r.name, str(eps), *(
-                relative_difference(cfcc_of_set(spark, r.g, r.group(a, eps)[:FIG5_K]), c_exact)
+                relative_difference(r.cfcc(spark, r.group(a, eps)[:FIG5_K]), c_exact)
                 for a in ("FOREST", "SCHUR"))])
     return ["graph", "ε", "FOREST rel. diff", "SCHUR rel. diff"], rows
 

@@ -10,6 +10,7 @@ import importlib
 import re
 import sys
 import zipimport
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +92,21 @@ class TestFanOut:
 class TestJobsPerCall:
     @pytest.mark.parametrize("alg", [forest_cfcm, schur_cfcm, approx_greedy])
     def test_one_job_per_greedy_iteration(self, spark, karate, spark_params, alg):
+        # A SCHUR iteration that reads the previous iteration's sample draws
+        # no forests and runs no job.
         res, jobs = _counting_jobs(spark, f"jobs-{alg.__name__}", lambda: alg(spark, karate, 3, spark_params))
         assert len(res.S) == 3
-        assert jobs == 3
+        assert jobs == (sum(1 for f in res.forests_per_iter if f) if alg is schur_cfcm else 3)
+
+    @pytest.mark.parametrize("seed,expected", [(0, 2), (2, 3)])
+    def test_schur_one_job_per_root_set(self, spark, karate, spark_params, seed, expected):
+        # karate's T* is [33, 0, 32, 1, 2]. Seed 0 picks 33, then 0 ∈ T*, so
+        # the last iteration reads the second's forests; seed 2 picks 2, then
+        # 6 ∉ T*, so every iteration samples.
+        params = replace(spark_params, seed=seed)
+        res, jobs = _counting_jobs(spark, f"jobs-schur-{seed}", lambda: schur_cfcm(spark, karate, 3, params))
+        assert jobs == expected
+        assert jobs == sum(1 for f in res.forests_per_iter if f)
 
     def test_hutchinson_one_job(self, spark, karate):
         c, jobs = _counting_jobs(spark, "jobs-hutchinson", lambda: cfcc_hutchinson(spark, karate, [0, 33]))

@@ -116,6 +116,32 @@ class TestEffectivenessHarnesses:
         for r in rows:
             assert abs(r[2]) < 0.2 and abs(r[3]) < 0.2
 
+    def test_each_group_scored_once(self, small_sweep, monkeypatch):
+        # C(S) depends only on the set: shared prefixes and reordered groups
+        # are scored once per graph, and every cell is the unmemoised score.
+        from repro.core.evaluate import cfcc_of_set
+        from repro.core.forest_cfcm import GreedyResult
+
+        g = build_graph("karate")
+        groups = {("EXACT", None): [33, 0, 32], ("APPROX", 0.3): [33, 0, 2],
+                  ("FOREST", 0.4): [33, 0, 1], ("SCHUR", 0.4): [0, 33, 5],
+                  ("FOREST", 0.3): [0, 33, 32], ("SCHUR", 0.3): [33, 0, 32]}
+        run = GraphRuns("karate", g, {}, {key: GreedyResult(S, 0.0) for key, S in groups.items()})
+        calls = []
+        monkeypatch.setattr(harness, "cfcc_of_set",
+                            lambda spark, g, S: calls.append(frozenset(S)) or cfcc_of_set(spark, g, S))
+        _, rows23 = fig23(None, [run])
+        _, rows5 = fig5(None, [run])
+        assert len(calls) == len(set(calls))
+        # fig5 (k = 2) reads {0, 33} for EXACT and all four runs: one score.
+        assert rows5 == [["karate", "0.4", 0.0, 0.0], ["karate", "0.3", 0.0, 0.0]]
+        assert calls.count(frozenset([0, 33])) == 1
+        for row in rows23:
+            k = row[1]
+            want = [groups[key][:k] for key in
+                    [("EXACT", None), ("APPROX", 0.3), ("FOREST", 0.3), ("SCHUR", 0.3)]]
+            assert row[4:] == [cfcc_of_set(None, g, S) for S in want]
+
     def test_fig4_miniature(self, small_sweep):
         # Fig. 4 is Table II's ε columns: FOREST and SCHUR seconds at each ε.
         header, (row,) = table2(sweep(None, ["karate"]))

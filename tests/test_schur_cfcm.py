@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.evaluate import cfcc_dense
 from repro.core.exact import exact_greedy
+from repro.core.forest_cfcm import read_out, rooted_sample
 from repro.core.params import Params
 from repro.core.schur_cfcm import (
     schur_cfcm,
@@ -127,6 +128,48 @@ class TestSchurDelta:
     def test_minus_inf_at_s(self, karate, params_fast):
         delta, _ = schur_delta(None, karate, [5, 7], [33, 0], params_fast, seed=6)
         assert delta[5] == -np.inf and delta[7] == -np.inf
+
+
+class TestSampleReuse:
+    def test_read_out_equals_fresh_draw(self, karate, params_fast):
+        # Moving a hub t from T' to S leaves the root set, hence the forests,
+        # the JL matrix and the weights, as they were: reading the old sample
+        # at S ∪ {t} is drawing afresh for it with the same seed.
+        T = select_T(karate)
+        S_j, seed_j = [5], 9
+        sample = rooted_sample(None, karate, S_j, [t for t in T if t not in S_j], params_fast, seed=seed_j)
+        assert sample.T.tolist() == sorted(T)
+        for t in sample.T.tolist():
+            S = S_j + [t]
+            rest = [u for u in T if u not in S]
+            got, read = schur_delta(None, karate, S, rest, params_fast, seed=seed_j, sample=sample)
+            fresh, _ = schur_delta(None, karate, S, rest, params_fast, seed=seed_j)
+            assert read is sample
+            assert np.array_equal(got, fresh)
+
+    def test_nested_read_outs_match_exact_gains(self, karate):
+        L = laplacian_dense(karate)
+        sample = rooted_sample(None, karate, [5], [33, 0, 32], ACC, seed=1)
+        for S in ([5], [5, 33], [5, 33, 0]):
+            exact = marginal_gain_all_exact(L, S)
+            delta = read_out(karate, sample, S)
+            keys = sorted(exact)
+            ex = np.array([exact[u] for u in keys])
+            rel = np.abs(delta[keys] - ex) / ex.max()
+            assert rel.max() < 0.15
+            assert np.all(delta[S] == -np.inf)
+
+    @pytest.mark.parametrize("graph", ["karate", "ba200"])
+    def test_fresh_sample_only_when_a_pick_leaves_the_roots(self, request, graph, params_fast):
+        # Iteration i roots at R = S ∪ T*, and its new pick S[i-1] is in R
+        # exactly when it is a hub of T*; iteration 1 has no sample to read.
+        g = request.getfixturevalue(graph)
+        T = select_T(g)
+        res = schur_cfcm(None, g, 6, params_fast)
+        f = res.forests_per_iter
+        assert f[0] > 0 and f[1] > 0
+        assert [n == 0 for n in f[2:]] == [u in T for u in res.S[1:-1]]
+        assert any(n == 0 for n in f)  # both graphs pick a hub after the first iteration
 
 
 class TestSchurCFCM:
