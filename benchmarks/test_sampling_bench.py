@@ -1,13 +1,12 @@
 """Microbenchmarks of the sampling substrate.
 
 Tracks the two kernels that dominate FORESTCFCM/SCHURCFCM wall time, each
-on one 16-forest chunk, the unit a Spark task runs: the cycle-popping
+on one 16-forest chunk, the unit a Spark task runs: the Wilson-walk
 sampler (``sample_forests``) and the per-chunk estimator pass
 (``chunk_stats``, sampler included), the latter as FOREST's chunk (root
 {s}) and SCHUR's (roots S ∪ hubs, with absorption counts). The two
 sampler cases show the hub-root speedup that motivates SCHURCFCM
-(forests rooted at S ∪ hubs pop fewer cycles than forests rooted at S
-alone).
+(walks from S ∪ hubs hit a root sooner than walks rooted at S alone).
 """
 import numpy as np
 import pytest

@@ -2,7 +2,7 @@
 
 Implements the ``for i = 1..2^{r'} do in parallel`` loops of Algorithms
 2–5: forest *chunks* (a seed plus a count) are fanned out with
-:func:`repro.fanout.fan_out`. Each Spark task runs the cycle-popping
+:func:`repro.fanout.fan_out`. Each Spark task runs the Wilson-walk
 sampler against the broadcast payload (CSR graph, BFS tree, the weights'
 BFS-subtree sums) and sums dense counter arrays (the per-forest
 contributions of ``repro.forest.estimators``); partitions are combined

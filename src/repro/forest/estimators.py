@@ -126,7 +126,7 @@ def chunk_stats(
     seed: int,
     count: int,
 ) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Sample ``count`` forests (one vectorized batch) and sum contributions.
+    """Sample ``count`` forests (one sampler call) and sum contributions.
 
     The forests come from one ``np.random.default_rng(seed)`` stream.
     ``BW_T`` is the weights' BFS-subtree sums (see :func:`forest_path_sums`),
@@ -138,9 +138,8 @@ def chunk_stats(
     the same ``(seed, count)`` gives the same sums on any executor.
     """
     n = g.n
-    # One batch for the whole chunk: the sampler pops the cycles of all
-    # ``count`` forests together, and every pass below runs once per
-    # chunk over ``(count, n)`` arrays or flat ``(forest, node)`` ids.
+    # One sampler call for the whole chunk, and every pass below runs
+    # once per chunk over ``(count, n)`` arrays or flat ``(forest, node)`` ids.
     parents, roots_of = sample_forests(g, bfs.roots, np.random.default_rng(seed), count)
     fwd, rev = forest_masks(parents, bfs)
     z = telescope(bfs, np.ascontiguousarray((fwd.astype(np.float64) - rev).T))

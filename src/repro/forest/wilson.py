@@ -1,22 +1,21 @@
-"""Uniform rooted spanning forests by vectorized cycle popping (Algorithm 1).
+"""Uniform rooted spanning forests by Wilson's walk (Algorithm 1), in C.
 
-Wilson's algorithm [31] is one order of Propp & Wilson's cycle popping:
-give every non-root node a stack of uniform random arrows (one neighbor
-each), look at the top arrows, and while they contain a cycle, pop the
-arrows of a cycle's nodes. Cycles of the top arrows are disjoint, and
-the popped set does not depend on the order, so popping *every* current
-cycle at once yields the same uniform forest with root set ``S``.
+Wilson's algorithm [31] grows a forest from the root set ``S``: from
+each node not yet in it (in id order), walk to uniform random neighbors
+until the walk hits the forest, erase the loops the walk closed, and add
+the remaining path. The result is a uniform spanning forest rooted at
+``S``, and the work is the number of arrows drawn.
 
-:func:`sample_forests` does this for a whole batch of forests at once,
-on flat ``(forest, node)`` ids:
-
-1. every non-root draws an arrow;
-2. pointer doubling to ``f^(2^⌈log₂ m⌉)`` over the ``m`` unresolved
-   nodes of a forest tells which nodes reach a root or an already
-   resolved node (they are final, and their root comes with the
-   doubling) and which lie on cycles (the image of the rest);
-3. only the cycle nodes redraw, and the loop repeats on the unresolved
-   nodes until none are left.
+:func:`sample_forests` runs the walk for a batch of forests in
+``_wilson.c``, about 30 lines that this module compiles with
+``cc -O2 -shared -fPIC`` into ``__pycache__/_wilson.<source hash>.so``
+(a temporary file renamed into place, so concurrent Spark workers may
+race to build it) and loads with :mod:`ctypes`. This happens at import,
+once per source version: a missing compiler fails there, and no
+sampling call pays the compile. The kernel draws its uniforms from the
+caller's numpy ``Generator`` through the bit generator's C interface,
+so one ``default_rng(seed)`` fixes a chunk of forests on any executor.
+A C compiler is therefore required; there is no numpy fallback.
 
 The paper's Algorithm 1 additionally returns a reverse-DFS order so the
 counter updates of Algorithms 2–4 can be done in one pass. We instead
@@ -28,6 +27,14 @@ bottom-up counterpart; the estimators run it on the BFS tree, not on
 forests.
 """
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +48,47 @@ __all__ = [
     "depth_buckets",
 ]
 
+_SOURCE = Path(__file__).with_name("_wilson.c")
+
+
+def _build(out_dir: Path) -> Path:
+    """Path of the compiled kernel in ``out_dir``, compiling it if it is not there yet."""
+    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    lib = out_dir / f"_wilson.{digest}.so"
+    if lib.exists():
+        return lib
+    cc = shutil.which("cc")
+    if cc is None:
+        raise RuntimeError(
+            f"repro.forest.wilson needs a C compiler to build {_SOURCE.name}: "
+            "no `cc` on PATH"
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_wilson.", suffix=".tmp", dir=out_dir)
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        if done.returncode:
+            raise RuntimeError(f"`cc` failed to build {_SOURCE.name}:\n{done.stderr}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+_i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_kernel = ctypes.CDLL(str(_build(_SOURCE.parent / "__pycache__"))).wilson_forests
+_kernel.restype = None
+_kernel.argtypes = [
+    ctypes.c_int64, _i64p, _i64p, _i64p, ctypes.c_int64, ctypes.c_int64,
+    ctypes.c_void_p, ctypes.c_void_p, _i64p, _i64p,
+]
+
 
 def sample_forests(
     g: CSRGraph, roots: np.ndarray, rng: np.random.Generator, count: int
@@ -50,48 +98,29 @@ def sample_forests(
     Returns ``(parents, roots_of)``, both ``(count, n)``:
     ``parents[b, u]`` is the parent of ``u`` in forest ``b`` (``-1`` for
     roots) and ``roots_of[b, u]`` the root of ``u``'s tree.
+
+    Every node must reach a root (the graph's components each hold one);
+    otherwise the walk never ends. ``bfs_tree_for_roots`` checks this for
+    every program caller. Raises ``ValueError`` for an empty root set or
+    a root id outside ``[0, n)``.
     """
     n = g.n
-    indptr, indices, deg = g.indptr, g.indices, g.degrees
-    roots = np.asarray(roots, dtype=np.int64)
-    is_root = np.zeros(n, dtype=bool)
-    is_root[roots] = True
-    offsets = np.arange(count, dtype=np.int64)[:, None] * n
-    parent = np.full(count * n, -1, dtype=np.int64)  # flat ids
-    root_of = np.full(count * n, -1, dtype=np.int64)  # node ids
-    root_of[(offsets + roots).ravel()] = np.tile(roots, count)
-    local = np.full(count * n, -1, dtype=np.int64)  # flat id -> index in todo
-    todo = (offsets + np.flatnonzero(~is_root)).ravel()  # unresolved, ascending
-    draw = todo  # nodes whose arrow is (re)drawn this round
-    while len(todo):
-        node = draw % n
-        pick = (rng.random(len(draw)) * deg[node]).astype(np.int64)
-        parent[draw] = draw - node + indices[indptr[node] + pick]
-        m = len(todo)
-        local[todo] = np.arange(m)
-        # ptr = f^(2^j) over todo's indices 0..m-1, plus one fixed point
-        # m + r per root node r, where a step into a resolved node lands.
-        nxt = parent[todo]
-        ptr = np.concatenate([local[nxt], np.arange(m, m + n)])
-        into = ptr[:m] < 0
-        ptr[:m][into] = m + root_of[nxt[into]]
-        # A chain visits at most a forest's unresolved nodes before it
-        # lands in a root slot or cycles, so after 2^⌈log₂ longest⌉ steps
-        # every unresolved chain ends on its cycle, and the ends are the
-        # cycle nodes.
-        longest = int(np.bincount(todo // n, minlength=count).max())
-        for _ in range((longest - 1).bit_length()):
-            ptr = ptr[ptr]
-        end = ptr[:m]
-        done = end >= m
-        root_of[todo[done]] = end[done] - m
-        local[todo] = -1
-        on_cycle = np.zeros(m, dtype=bool)
-        on_cycle[end[~done]] = True
-        draw = todo[on_cycle]
-        todo = todo[~done]
-    parents = np.where(parent >= 0, parent - offsets.repeat(n), -1).reshape(count, n)
-    return parents, root_of.reshape(count, n)
+    roots = np.ascontiguousarray(roots, dtype=np.int64)
+    if not len(roots):
+        raise ValueError("the root set is empty; Wilson's walk needs at least one root")
+    if roots.min() < 0 or roots.max() >= n:
+        raise ValueError(f"root ids must lie in [0, {n}); got {roots.min()}..{roots.max()}")
+    parents = np.empty((count, n), dtype=np.int64)
+    roots_of = np.empty((count, n), dtype=np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        iface = bitgen.ctypes
+        _kernel(
+            n, g.indptr, g.indices, roots, len(roots), count,
+            ctypes.cast(iface.next_double, ctypes.c_void_p), iface.state_address,
+            parents, roots_of,
+        )
+    return parents, roots_of
 
 
 def sample_forest(

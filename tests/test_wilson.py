@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.graphs import build_graph
+from repro.forest import wilson
 from repro.forest.wilson import (
     depth_buckets,
     forest_depths,
@@ -135,7 +136,7 @@ class TestChunkSampler:
             _check_forest(karate, roots, parent, root_of)
 
     def test_every_forest_of_a_chunk_is_valid_road(self):
-        # High diameter and one root: the most popping rounds.
+        # High diameter and one root: the longest walks.
         g = build_graph("road-1000")
         roots = np.array([int(np.argmax(g.degrees))])
         parents, roots_of = sample_forests(g, roots, np.random.default_rng(2), 16)
@@ -155,6 +156,31 @@ class TestChunkSampler:
         parents, roots_of = sample_forests(karate, roots, np.random.default_rng(5), 1)
         np.testing.assert_array_equal(parent, parents[0])
         np.testing.assert_array_equal(root_of, roots_of[0])
+
+    def test_empty_roots_raise(self, karate):
+        with pytest.raises(ValueError, match="root set is empty"):
+            sample_forests(karate, np.array([], dtype=np.int64), np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("roots", [[-1], [0, 34]])
+    def test_out_of_range_roots_raise(self, karate, roots):
+        with pytest.raises(ValueError, match=r"root ids must lie in \[0, 34\)"):
+            sample_forests(karate, np.array(roots), np.random.default_rng(0), 1)
+
+
+class TestKernelBuild:
+    def test_second_load_reuses_the_library(self, tmp_path, monkeypatch):
+        lib = wilson._build(tmp_path)
+        stamp = lib.stat().st_mtime_ns
+        # With no compiler on PATH, a rebuild would raise.
+        monkeypatch.setenv("PATH", "")
+        assert wilson._build(tmp_path) == lib
+        assert lib.stat().st_mtime_ns == stamp
+        assert [p.name for p in tmp_path.iterdir()] == [lib.name]
+
+    def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        with pytest.raises(RuntimeError, match="needs a C compiler .* no `cc` on PATH"):
+            wilson._build(tmp_path / "lib")
 
 
 class TestForestDepths:
