@@ -7,6 +7,3 @@
 * ``heuristics`` — DEGREE and TOP-CFCC.
 * ``evaluate`` — CFCC evaluation (dense, or Hutchinson+CG at scale).
 """
-from repro.core.params import Params
-
-__all__ = ["Params"]

@@ -9,6 +9,3 @@ of ⌈r_c·ε⁻²·log₂ 2n⌉ forests per call, in one Spark job, instead of 
 paper's doubling rounds with an empirical-Bernstein early stop (which
 never fired before that budget; DESIGN.md §5).
 """
-from repro.forest.wilson import forest_depths, sample_forest, sample_forests, subtree_sums_T
-
-__all__ = ["forest_depths", "sample_forest", "sample_forests", "subtree_sums_T"]

@@ -118,7 +118,7 @@ def adaptive_forest_stats(
     so they are computed here once and every chunk reads them.
     """
     bfs = bfs_tree_for_roots(g, roots)
-    BW_T = None if W is None else subtree_sums_T(bfs.parent, bfs.depth, np.ascontiguousarray(W.T))
+    BW_T = None if W is None else subtree_sums_T(bfs.parent, bfs.depth, W.T)
     t_col = None
     n_t = 0
     if t_nodes:

@@ -15,7 +15,9 @@ where ``BW[:, a] = Σ_{v ∈ BFS-subtree(a)} W[:, v]`` is one subtree pass
 over the BFS tree. Both are unbiased by Kirchhoff's theorem for forest
 paths and the symmetry of ``L_{-S}^{-1}`` (DESIGN.md §2), and are tested
 against dense inverses. :func:`chunk_stats` evaluates them for a whole
-chunk of forests at once, with no per-forest Python loop.
+chunk of forests at once, with no per-forest Python loop: each telescope
+is one down-sum of :func:`~repro.forest.wilson.tree_sums`, over the BFS
+tree for ``z`` and over the chunk's flat ``(forest, node)`` ids for ``Y``.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.forest.wilson import depth_buckets, forest_depths, sample_forests
+from repro.forest.wilson import sample_forests, tree_sums
 from repro.graph.csr import CSRGraph, local_bfs_tree
 
 __all__ = [
@@ -38,24 +40,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BFSTree:
-    """BFS tree from a root set, with per-depth level buckets."""
+    """BFS tree from a root set."""
 
     roots: np.ndarray
     parent: np.ndarray  # -1 at roots
     depth: np.ndarray
-    buckets: list[np.ndarray]  # buckets[d] = nodes at BFS depth d
 
 
 def bfs_tree_for_roots(g: CSRGraph, roots) -> BFSTree:
     roots = np.asarray(sorted(roots), dtype=np.int64)
-    parent, depth, buckets = local_bfs_tree(g, roots)
+    parent, depth, _ = local_bfs_tree(g, roots)
     unreachable = int((depth < 0).sum())
     if unreachable:
         raise ValueError(
             f"{unreachable} of {g.n} nodes are unreachable from the roots; "
             "the graph must be connected (run on the largest connected component)"
         )
-    return BFSTree(roots=roots, parent=parent, depth=depth, buckets=buckets)
+    return BFSTree(roots=roots, parent=parent, depth=depth)
 
 
 def forest_masks(parent: np.ndarray, bfs: BFSTree) -> tuple[np.ndarray, np.ndarray]:
@@ -77,15 +78,14 @@ def forest_masks(parent: np.ndarray, bfs: BFSTree) -> tuple[np.ndarray, np.ndarr
 def telescope(bfs: BFSTree, delta: np.ndarray) -> np.ndarray:
     """Prefix-sum ``phi[u] = phi[p(u)] + delta[u]`` down the BFS tree.
 
-    ``delta``'s first axis indexes nodes (shape ``(n,)`` or ``(n, w)``;
-    row gathers are contiguous, which is what makes the per-chunk pass
-    cheap at large ``n·w``). Root rows of the result are 0 (grounded
-    voltage).
+    ``delta``'s first axis indexes nodes (shape ``(n,)`` or ``(n, w)``),
+    and it is not modified: this is a down-sum of
+    :func:`~repro.forest.wilson.tree_sums` on a C-ordered copy. Root rows
+    of the result are 0 (grounded voltage).
     """
-    phi = np.zeros_like(delta, dtype=np.float64)
-    for nodes in bfs.buckets[1:]:
-        phi[nodes] = phi[bfs.parent[nodes]] + delta[nodes]
-    return phi
+    phi = np.array(delta, dtype=np.float64, order="C")
+    phi[bfs.roots] = 0
+    return tree_sums(bfs.parent, phi)
 
 
 def forest_path_sums(bfs: BFSTree, BW_T: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -97,8 +97,8 @@ def forest_path_sums(bfs: BFSTree, BW_T: np.ndarray, parents: np.ndarray) -> np.
 
     Each forest's ``Ŷ_f[:, u]`` sums, down ``u``'s own forest path, the
     BFS-subtree sum ``BW`` of every BFS edge the path uses, signed by
-    direction (DESIGN.md §2). The path sums are one gather-add per forest
-    level over flat ``(forest, node)`` ids.
+    direction (DESIGN.md §2). The path sums are one down-sum over flat
+    ``(forest, node)`` ids.
     """
     count, n = parents.shape
     nodes = np.arange(n)
@@ -111,10 +111,7 @@ def forest_path_sums(bfs: BFSTree, BW_T: np.ndarray, parents: np.ndarray) -> np.
     edge = np.where(up, nodes, np.where(down, n + safe, 2 * n)).ravel()
     Y = np.vstack([BW_T, -BW_T, np.zeros((1, BW_T.shape[1]))]).take(edge, axis=0)
     flat_parent = np.where(nonroot, safe + np.arange(count)[:, None] * n, -1).ravel()
-    # Roots add nothing, so each level adds its parents' finished sums.
-    for level in depth_buckets(forest_depths(flat_parent))[1:]:
-        Y[level] = Y.take(level, axis=0) + Y.take(flat_parent[level], axis=0)
-    return Y.reshape(count, n, -1).sum(axis=0)
+    return tree_sums(flat_parent, Y).reshape(count, n, -1).sum(axis=0)
 
 
 def chunk_stats(
@@ -142,7 +139,7 @@ def chunk_stats(
     # once per chunk over ``(count, n)`` arrays or flat ``(forest, node)`` ids.
     parents, roots_of = sample_forests(g, bfs.roots, np.random.default_rng(seed), count)
     fwd, rev = forest_masks(parents, bfs)
-    z = telescope(bfs, np.ascontiguousarray((fwd.astype(np.float64) - rev).T))
+    z = telescope(bfs, (fwd.astype(np.float64) - rev).T)
     z_sum = z.sum(axis=1)
     y_sum_T = None if BW_T is None else forest_path_sums(bfs, BW_T, parents)
     rc = np.zeros((n, n_t))

@@ -7,7 +7,7 @@ the remaining path. The result is a uniform spanning forest rooted at
 ``S``, and the work is the number of arrows drawn.
 
 :func:`sample_forests` runs the walk for a batch of forests in
-``_wilson.c``, about 30 lines that this module compiles with
+``_wilson.c``, a few dozen lines that this module compiles with
 ``cc -O2 -shared -fPIC`` into ``__pycache__/_wilson.<source hash>.so``
 (a temporary file renamed into place, so concurrent Spark workers may
 race to build it) and loads with :mod:`ctypes`. This happens at import,
@@ -17,14 +17,16 @@ caller's numpy ``Generator`` through the bit generator's C interface,
 so one ``default_rng(seed)`` fixes a chunk of forests on any executor.
 A C compiler is therefore required; there is no numpy fallback.
 
-The paper's Algorithm 1 additionally returns a reverse-DFS order so the
-counter updates of Algorithms 2–4 can be done in one pass. We instead
-return the parent map and compute depths by vectorized pointer doubling
-(:func:`forest_depths`), so the estimators can walk a batch's forests
-one depth level at a time, parents before children, over flat
-``(forest, node)`` ids (DESIGN.md §2). :func:`subtree_sums_T` is the
-bottom-up counterpart; the estimators run it on the BFS tree, not on
-forests.
+The paper's Algorithm 1 additionally returns a node order so the
+counter updates of Algorithms 2–4 can be done in one pass down each
+tree. We return the parent map instead, and the same library's second
+function, :func:`tree_sums`, lays out a parents-first order from it and
+sums rows down the paths to the roots or up the subtrees in one pass.
+Each parent-map walk of the estimators is one such call: the ``ẑ``
+telescope and the ``Ŷ`` path sums over a chunk's flat ``(forest, node)``
+ids are down-sums, and :func:`subtree_sums_T`, which they run on the
+BFS tree, is an up-sum (DESIGN.md §2). :func:`forest_depths` is the
+down-sum of the non-root indicator.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ __all__ = [
     "sample_forests",
     "forest_depths",
     "subtree_sums_T",
-    "depth_buckets",
+    "tree_sums",
 ]
 
 _SOURCE = Path(__file__).with_name("_wilson.c")
@@ -82,11 +84,19 @@ def _build(out_dir: Path) -> Path:
 
 
 _i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_kernel = ctypes.CDLL(str(_build(_SOURCE.parent / "__pycache__"))).wilson_forests
+_lib = ctypes.CDLL(str(_build(_SOURCE.parent / "__pycache__")))
+_kernel = _lib.wilson_forests
 _kernel.restype = None
 _kernel.argtypes = [
     ctypes.c_int64, _i64p, _i64p, _i64p, ctypes.c_int64, ctypes.c_int64,
     ctypes.c_void_p, ctypes.c_void_p, _i64p, _i64p,
+]
+_tree_sums = _lib.tree_sums
+_tree_sums.restype = ctypes.c_int64
+_tree_sums.argtypes = [
+    ctypes.c_int64, ctypes.c_int64, _i64p, ctypes.c_int,
+    np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE"), _i64p,
+    np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS"),
 ]
 
 
@@ -131,67 +141,54 @@ def sample_forest(
     return parents[0], roots_of[0]
 
 
-def forest_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every node in its tree, by pointer doubling (O(log depth) passes).
+def tree_sums(parent: np.ndarray, X: np.ndarray, up: bool = False) -> np.ndarray:
+    """Sum the rows of ``X`` along the forest ``parent`` in place; returns ``X``.
 
-    Raises ``ValueError`` if some node's parent chain never reaches a root
-    (the map has a cycle).
+    ``parent`` maps each of the ``n`` nodes to its parent (``-1`` at
+    roots), and ``X``'s first axis indexes the nodes. Down (the default),
+    row ``v`` becomes the sum of the rows on ``v``'s path to its root; up,
+    the sum of the rows of ``v``'s subtree. One pass of ``tree_sums`` in
+    ``_wilson.c`` lays out a parents-first order and adds each row to its
+    child's (down) or its parent's (up) along it.
+
+    Raises ``ValueError``, leaving ``X`` unchanged, if ``parent`` is not
+    1-D or has an id outside ``[-1, n)``, ``X`` has other than ``n`` rows
+    or is not a writable C-contiguous float64 array, or some node's
+    parent chain never reaches a root (the map has a cycle).
     """
+    parent = np.ascontiguousarray(parent, dtype=np.int64)
+    if parent.ndim != 1:
+        raise ValueError(f"parent must be one map of node ids; got shape {parent.shape}")
     n = len(parent)
-    is_root = parent < 0
-    depth = (~is_root).astype(np.int64)
-    ptr = np.where(is_root, np.arange(n, dtype=np.int64), parent)
-    # A chain has at most n - 1 edges: ⌈log₂ n⌉ passes reach every root,
-    # and one more pass sees the depths stop changing.
-    for _ in range((n - 1).bit_length() + 1):
-        new_depth = depth + depth[ptr]
-        if np.array_equal(new_depth, depth):
-            return depth
-        depth = new_depth
-        ptr = ptr[ptr]
-    raise ValueError(
-        f"{int((~is_root[ptr]).sum())} of {n} nodes never reach a root; "
-        "the parent map has a cycle"
-    )
+    if X.shape[:1] != (n,):
+        raise ValueError(f"X of shape {X.shape} does not have one row per node of {n}")
+    if X.dtype != np.float64 or not (X.flags.c_contiguous and X.flags.writeable):
+        raise ValueError("X must be a writable C-contiguous float64 array; it is summed in place")
+    if n and not -1 <= parent.min() <= parent.max() < n:
+        raise ValueError(f"parent ids must lie in [-1, {n}); got {parent.min()}..{parent.max()}")
+    bad = _tree_sums(n, X.size // max(n, 1), parent, up, X, np.empty(n, np.int64), np.zeros(n, np.int8))
+    if bad:
+        raise ValueError(f"{bad} of {n} nodes never reach a root; the parent map has a cycle")
+    return X
 
 
-def depth_buckets(depth: np.ndarray) -> list[np.ndarray]:
-    """``buckets[d]`` = nodes at depth ``d`` (ascending ids), for level passes."""
-    maxd = int(depth.max()) if len(depth) else 0
-    # A stable sort keeps equal depths in ascending id order; on the
-    # smallest dtype that holds them, numpy radix-sorts 8- and 16-bit keys.
-    order = np.argsort(depth.astype(np.min_scalar_type(maxd)), kind="stable")
-    sorted_d = depth[order]
-    bounds = np.searchsorted(sorted_d, np.arange(maxd + 2))
-    return [order[bounds[d] : bounds[d + 1]] for d in range(maxd + 1)]
+def forest_depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of every node in its tree: the down-sum of the non-root indicator.
+
+    Raises ``ValueError`` as :func:`tree_sums` does, e.g. if some node's
+    parent chain never reaches a root (the map has a cycle).
+    """
+    parent = np.asarray(parent)
+    return tree_sums(parent, (parent >= 0).astype(np.float64)).astype(np.int64)
 
 
 def subtree_sums_T(parent: np.ndarray, depth: np.ndarray, X_T: np.ndarray) -> np.ndarray:
     """Row-major subtree aggregates ``S[a, :] = Σ_{v ∈ subtree(a)} X_T[v, :]``.
 
-    ``X_T`` has shape ``(n, w)``; processes depth levels bottom-up with a
-    per-parent segment reduce so siblings sharing a parent accumulate
-    correctly. The sampling call runs it once on the BFS tree (3–5
-    levels on BA graphs), for the weights ``BW`` that each forest path
-    then sums (DESIGN.md §2); any forest of parent pointers works.
+    ``X_T`` has shape ``(n, w)`` and is not modified: this is the up-sum
+    of :func:`tree_sums` on a copy. ``depth`` is unused; callers that
+    have the forest's depths pass them. The sampling call runs it once on
+    the BFS tree, for the weights ``BW`` that each forest path then sums
+    (DESIGN.md §2); any forest of parent pointers works.
     """
-    ST = X_T.copy()
-    maxd = int(depth.max()) if len(depth) else 0
-    buckets = depth_buckets(depth)
-    for d in range(maxd, 0, -1):
-        nodes = buckets[d]
-        if not len(nodes):
-            continue
-        # Group level nodes by parent and segment-reduce: equivalent to
-        # np.add.at(ST, parent[nodes], ST[nodes]) but ~5× faster (buffered
-        # reduceat instead of the unbuffered element-wise add.at loop).
-        par = parent[nodes]
-        order = np.argsort(par, kind="stable")
-        par_sorted = par[order]
-        new_par = np.empty(len(par_sorted), dtype=bool)
-        new_par[0] = True
-        np.not_equal(par_sorted[1:], par_sorted[:-1], out=new_par[1:])
-        starts = np.flatnonzero(new_par)
-        sums = np.add.reduceat(ST[nodes[order]], starts, axis=0)
-        ST[par_sorted[starts]] += sums
-    return ST
+    return tree_sums(parent, np.array(X_T, dtype=np.float64, order="C"), up=True)

@@ -6,26 +6,3 @@ conjugate-gradient solver that stands in for the paper's nearly-linear
 Laplacian solver [39], and ``jl`` the Johnson–Lindenstrauss projection of
 Lemma 3.4.
 """
-from repro.linalg.jl import rademacher_matrix
-from repro.linalg.laplacian import (
-    cfcc_group,
-    cfcc_single_all,
-    laplacian_dense,
-    laplacian_pinv,
-    marginal_gain_exact,
-    remove_node_inverse_downdate,
-    submatrix_inverse,
-    trace_l_sub_inv,
-)
-
-__all__ = [
-    "cfcc_group",
-    "cfcc_single_all",
-    "laplacian_dense",
-    "laplacian_pinv",
-    "marginal_gain_exact",
-    "rademacher_matrix",
-    "remove_node_inverse_downdate",
-    "submatrix_inverse",
-    "trace_l_sub_inv",
-]

@@ -2,8 +2,8 @@
 
 Randomized structural identities: canonicalization idempotence, CSR
 round-trips, Laplacian invariants, downdate consistency, estimator
-telescoping linearity — each on arbitrary generated graphs rather than
-the fixed fixtures.
+telescoping linearity, forest row sums against ancestor walks — each on
+arbitrary generated graphs rather than the fixed fixtures.
 """
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.forest.estimators import bfs_tree_for_roots, telescope
-from repro.forest.wilson import forest_depths, sample_forest, sample_forests
+from repro.forest.wilson import forest_depths, sample_forest, sample_forests, tree_sums
 from repro.graph.csr import CSRGraph, local_bfs_tree
 from repro.graph.generators import canonical_edges, erdos_renyi, is_connected_edges
 from repro.linalg.laplacian import (
@@ -162,3 +162,50 @@ def test_bfs_depths_are_shortest(g, seed):
     # BFS property: neighbouring depths differ by at most 1.
     for a, b in g.edge_array():
         assert abs(depth[a] - depth[b]) <= 1
+
+
+def _path_to_root(parent, v):
+    path = [v]
+    while parent[path[-1]] >= 0:
+        path.append(int(parent[path[-1]]))
+    return path
+
+
+@settings(max_examples=10, deadline=None)
+@given(connected_graph(), st.integers(0, 10_000), st.integers(1, 4))
+def test_tree_sums_match_ancestor_walks(g, seed, n_roots):
+    # Wilson's forests from several roots: node ids are not in depth order.
+    rng = np.random.default_rng(seed)
+    roots = rng.choice(g.n, size=min(n_roots, g.n), replace=False)
+    parents, _ = sample_forests(g, roots, rng, 4)
+    X = rng.standard_normal((g.n, 3))
+    for parent in parents:
+        down, up = np.zeros_like(X), np.zeros_like(X)
+        for v in range(g.n):
+            path = _path_to_root(parent, v)
+            down[v] = X[path].sum(axis=0)
+            up[path] += X[v]
+        np.testing.assert_allclose(tree_sums(parent, X.copy()), down, atol=1e-12)
+        np.testing.assert_allclose(tree_sums(parent, X.copy(), up=True), up, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 6), st.integers(0, 6), st.integers(0, 10_000))
+def test_tree_sums_count_a_cycle_and_its_tail(n_tree, n_cycle, n_tail, seed):
+    # Ids below n_tree form a valid forest (0 is a root), the next n_cycle
+    # a cycle (a self-loop if n_cycle is 1), the rest a tail into it; then
+    # the ids are shuffled.
+    rng = np.random.default_rng(seed)
+    n = n_tree + n_cycle + n_tail
+    parent = np.array([rng.integers(-1, v) for v in range(n_tree)]
+                      + [n_tree + (i + 1) % n_cycle for i in range(n_cycle)]
+                      + [rng.integers(n_tree, v) for v in range(n_tree + n_cycle, n)])
+    perm = rng.permutation(n)
+    shuffled = np.empty(n, dtype=np.int64)
+    shuffled[perm] = np.where(parent >= 0, perm[parent], -1)
+    X = rng.standard_normal((n, 2))
+    before = X.copy()
+    for up in (False, True):
+        with pytest.raises(ValueError, match=f"^{n_cycle + n_tail} of {n} nodes never reach a root"):
+            tree_sums(shuffled, X, up=up)
+    np.testing.assert_array_equal(X, before)

@@ -1,5 +1,6 @@
 """Wilson sampler: structural validity, distribution, helpers."""
 import itertools
+import subprocess
 from collections import Counter
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from repro.experiments.graphs import build_graph
 from repro.forest import wilson
 from repro.forest.wilson import (
-    depth_buckets,
     forest_depths,
     sample_forest,
     sample_forests,
     subtree_sums_T,
+    tree_sums,
 )
 from repro.graph.csr import CSRGraph
 
@@ -177,6 +178,11 @@ class TestKernelBuild:
         assert lib.stat().st_mtime_ns == stamp
         assert [p.name for p in tmp_path.iterdir()] == [lib.name]
 
+    def test_kernel_compiles_without_warnings(self):
+        flags = ["-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+        done = subprocess.run(["cc", *flags, str(wilson._SOURCE)], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))
         with pytest.raises(RuntimeError, match="needs a C compiler .* no `cc` on PATH"):
@@ -212,17 +218,33 @@ class TestForestDepths:
                 assert depth[u] == depth[parent[u]] + 1
 
 
-class TestDepthBuckets:
-    def test_partition(self):
-        depth = np.array([0, 1, 2, 1, 0, 2, 2])
-        buckets = depth_buckets(depth)
-        assert [b.tolist() for b in buckets] == [[0, 4], [1, 3], [2, 5, 6]]
+class TestTreeSums:
+    def test_parent_outside_range_raises(self):
+        with pytest.raises(ValueError, match=r"parent ids must lie in \[-1, 2\); got -1..5"):
+            forest_depths(np.array([-1, 5]))
 
-    def test_total_coverage(self, karate):
-        parent, _ = sample_forest(karate, np.array([0]), np.random.default_rng(1))
-        depth = forest_depths(parent)
-        buckets = depth_buckets(depth)
-        assert sum(len(b) for b in buckets) == karate.n
+    def test_parent_must_be_one_map(self):
+        with pytest.raises(ValueError, match=r"one map of node ids; got shape \(1, 2\)"):
+            tree_sums(np.array([[-1, 0]]), np.zeros(1))
+
+    @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((1, 2))])
+    def test_row_count_must_be_n(self, X):
+        with pytest.raises(ValueError, match="one row per node of 2"):
+            tree_sums(np.array([-1, 0]), X)
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.zeros((2, 2), dtype=np.float32),
+            np.zeros((2, 2), dtype=np.int64),
+            np.asfortranarray(np.zeros((2, 2))),
+            np.zeros((2, 3))[:, :1],
+            np.frombuffer(bytes(16)),  # read-only
+        ],
+    )
+    def test_X_is_never_copied(self, X):
+        with pytest.raises(ValueError, match="writable C-contiguous float64"):
+            tree_sums(np.array([-1, 0]), X)
 
 
 class TestSubtreeSums:
