@@ -23,12 +23,11 @@ from pyspark.sql import SparkSession
 
 from repro.core.forest_cfcm import (
     GreedyResult, RootedSample, first_node_scores, greedy, read_out, rooted_sample,
-    schur_complement_from_counts,
 )
 from repro.core.params import Params
 from repro.graph.csr import CSRGraph
 
-__all__ = ["select_T", "schur_complement_from_counts", "schur_delta", "schur_cfcm"]
+__all__ = ["select_T", "schur_delta", "schur_cfcm"]
 
 
 def select_T(g: CSRGraph) -> list[int]:

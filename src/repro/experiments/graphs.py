@@ -1,7 +1,8 @@
 """The synthetic graph suite mirroring the paper's dataset ladder.
 
 Each graph stands in for one row of the paper's Table II; the row and
-its published numbers are ``repro.experiments.table2.PAPER_TABLE2``.
+its published numbers are in EXPERIMENTS.md's paper table (Table II
+section).
 Sizes are laptop-scale (DESIGN.md §5): crossovers and scaling shapes — not
 absolute seconds — are the reproduction target.
 """

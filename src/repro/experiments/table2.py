@@ -40,7 +40,7 @@ from repro.core.schur_cfcm import schur_cfcm
 from repro.experiments.graphs import TINY, build_graph, graph_stats
 from repro.graph.csr import CSRGraph
 
-__all__ = ["PAPER_TABLE2", "GraphRuns", "sweep", "table2", "fig1", "fig23", "fig5", "markdown"]
+__all__ = ["GraphRuns", "sweep", "table2", "fig1", "fig23", "fig5", "markdown"]
 
 K = 20  # the paper's group size for Table II and Figs. 2–3
 EPS_GRID = (0.4, 0.3, 0.2, 0.15)  # FOREST and SCHUR run at each
@@ -50,28 +50,6 @@ APPROX_LIMIT = 13000  # APPROXGREEDY runs up to this n
 FIG1_K = 4
 FIG23_KS = (1, 5, 10, 15, 20)
 FIG5_K = 10
-
-# Paper Table II rows analogous to our suite (seconds, 72-core server).
-# Keys are our graph names; values: (EXACT, APPROX, FOREST eps .3/.2/.15,
-# SCHUR eps .3/.2/.15); None = "—" in the paper.
-PAPER_TABLE2: dict[str, dict] = {
-    "road-1000": dict(analog="Euroroads", exact=4.824, approx=8.491,
-                      forest=(0.328, 0.497, 0.825), schur=(0.283, 0.451, 0.709)),
-    "ba-2000-d8": dict(analog="Hamsterster", exact=33.70, approx=34.43,
-                       forest=(0.747, 1.273, 1.993), schur=(0.532, 0.992, 1.659)),
-    "ba-1500-d30": dict(analog="buzznet", exact=None, approx=10121,
-                        forest=(80.79, 126.8, 196.0), schur=(73.59, 126.7, 176.2)),
-    "ba-4000-d22": dict(analog="Facebook", exact=274.6, approx=196.2,
-                        forest=(2.446, 4.321, 6.901), schur=(1.695, 3.448, 5.608)),
-    "ba-4200-d3": dict(analog="GR-QC", exact=298.8, approx=60.41,
-                       forest=(2.876, 5.450, 9.008), schur=(2.404, 4.867, 8.246)),
-    "ba-6500-d2": dict(analog="Routeviews", exact=1130, approx=39.88,
-                       forest=(4.440, 8.499, 14.21), schur=(3.938, 8.029, 13.65)),
-    "ba-8600-d3": dict(analog="HEP-Th", exact=2676, approx=157.4,
-                       forest=(8.125, 15.76, 25.50), schur=(6.679, 13.39, 22.76)),
-    "ba-12000-d11": dict(analog="Astro-Ph", exact=24456, approx=1118,
-                         forest=(22.10, 44.24, 74.35), schur=(18.73, 35.69, 59.81)),
-}
 
 Table = tuple[list[str], list[list]]  # header, rows of raw cells
 

@@ -42,18 +42,20 @@ _CHUNK = 16  # forests per vectorized batch / determinism unit
 
 @dataclass
 class ForestStats:
-    """Additive accumulator of per-forest estimator contributions."""
+    """Additive accumulator of per-forest estimator contributions.
+
+    ``y_sum`` is always an array: every sampling call carries weights.
+    """
 
     n_forests: int
     z_sum: np.ndarray  # (n,)   Σ_f z_f
-    y_sum: np.ndarray | None  # (n, w) Σ_f Y_f (row-major)
+    y_sum: np.ndarray  # (n, w) Σ_f Y_f (row-major)
     root_counts: np.ndarray  # (n, |T|) Σ_f 1[ρ_u = t]; n × 0 without T
 
     def add(self, other: "ForestStats") -> "ForestStats":
         self.n_forests += other.n_forests
         self.z_sum += other.z_sum
-        if self.y_sum is not None:
-            self.y_sum += other.y_sum
+        self.y_sum += other.y_sum
         self.root_counts += other.root_counts
         return self
 
@@ -100,7 +102,7 @@ def adaptive_forest_stats(
     spark: SparkSession | None,
     g: CSRGraph,
     roots,
-    W: np.ndarray | None,
+    W: np.ndarray,
     eps: float,
     *,
     t_nodes: list[int] | None = None,
@@ -111,14 +113,15 @@ def adaptive_forest_stats(
 
     The forests are drawn as 16-forest chunks in one Spark job (or one
     local fold when ``spark`` is None). ``W`` is the (w, n) weight matrix
-    whose rows are telescoped into ``Ŷ`` (columns at roots must be zero).
+    whose rows are telescoped into ``Ŷ`` (columns at roots must be zero):
+    a row of ones in the first iteration (eq. 7), JL rows after it.
     ``t_nodes`` requests absorption counts toward those roots
     (SCHURDELTA). Returns the accumulated stats and the BFS tree used for
     telescoping. ``W``'s BFS-subtree sums ``BW`` depend only on the call,
     so they are computed here once and every chunk reads them.
     """
     bfs = bfs_tree_for_roots(g, roots)
-    BW_T = None if W is None else subtree_sums_T(bfs.parent, bfs.depth, W.T)
+    BW_T = subtree_sums_T(bfs.parent, bfs.depth, W.T)
     t_col = None
     n_t = 0
     if t_nodes:

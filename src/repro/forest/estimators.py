@@ -49,7 +49,7 @@ class BFSTree:
 
 def bfs_tree_for_roots(g: CSRGraph, roots) -> BFSTree:
     roots = np.asarray(sorted(roots), dtype=np.int64)
-    parent, depth, _ = local_bfs_tree(g, roots)
+    parent, depth = local_bfs_tree(g, roots)
     unreachable = int((depth < 0).sum())
     if unreachable:
         raise ValueError(
@@ -117,17 +117,18 @@ def forest_path_sums(bfs: BFSTree, BW_T: np.ndarray, parents: np.ndarray) -> np.
 def chunk_stats(
     g: CSRGraph,
     bfs: BFSTree,
-    BW_T: np.ndarray | None,
+    BW_T: np.ndarray,
     t_col: np.ndarray | None,
     n_t: int,
     seed: int,
     count: int,
-) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Sample ``count`` forests (one sampler call) and sum contributions.
 
     The forests come from one ``np.random.default_rng(seed)`` stream.
-    ``BW_T`` is the weights' BFS-subtree sums (see :func:`forest_path_sums`),
-    or None to skip ``Ŷ``.
+    ``BW_T`` is the weights' ``(n, w)`` BFS-subtree sums (see
+    :func:`forest_path_sums`); ``z_sum`` and the root counts do not
+    depend on it.
 
     Returns ``(count, z_sum, y_sum_T, root_counts)``; ``y_sum_T``
     is ``(n, w)`` and ``root_counts`` is ``(n, n_t)`` (``t_col`` may be
@@ -141,7 +142,7 @@ def chunk_stats(
     fwd, rev = forest_masks(parents, bfs)
     z = telescope(bfs, (fwd.astype(np.float64) - rev).T)
     z_sum = z.sum(axis=1)
-    y_sum_T = None if BW_T is None else forest_path_sums(bfs, BW_T, parents)
+    y_sum_T = forest_path_sums(bfs, BW_T, parents)
     rc = np.zeros((n, n_t))
     if n_t:
         cols = t_col[roots_of]

@@ -89,23 +89,19 @@ class CSRGraph:
         return cls(n=n, indptr=indptr, indices=both[:, 1].copy())
 
 
-def local_bfs_tree(
-    g: CSRGraph, roots: np.ndarray | list[int]
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+def local_bfs_tree(g: CSRGraph, roots: np.ndarray | list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Multi-source BFS tree over the CSR graph.
 
-    Returns ``(parent, depth, level_buckets)`` where ``parent[r] = -1`` for
-    roots, ``depth[r] = 0``, and ``level_buckets[d]`` is the array of nodes
-    at BFS depth ``d`` (``level_buckets[0]`` are the roots). Unreachable
-    nodes keep ``parent = -1`` and ``depth = -1``; callers operating on a
-    connected graph check full coverage.
+    Returns ``(parent, depth)`` where ``parent[r] = -1`` for roots and
+    ``depth[r] = 0``. Unreachable nodes keep ``parent = -1`` and
+    ``depth = -1``; callers operating on a connected graph check full
+    coverage.
     """
     roots = np.asarray(roots, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)
     depth = np.full(g.n, -1, dtype=np.int64)
     depth[roots] = 0
     frontier = roots
-    buckets = [roots.copy()]
     while len(frontier):
         # Vectorized frontier expansion: gather all neighbours, keep unseen.
         reps = g.degrees[frontier]
@@ -127,8 +123,7 @@ def local_bfs_tree(
         parent[uniq] = srcs[first]
         depth[uniq] = depth[srcs[first]] + 1
         frontier = uniq
-        buckets.append(uniq)
-    return parent, depth, buckets
+    return parent, depth
 
 
 def estimate_diameter(g: CSRGraph) -> int:
@@ -142,8 +137,8 @@ def estimate_diameter(g: CSRGraph) -> int:
     best = 0
     starts = np.random.default_rng(0).integers(0, g.n, size=4)
     for s in starts:
-        _, d1, _ = local_bfs_tree(g, [int(s)])
+        _, d1 = local_bfs_tree(g, [int(s)])
         far = int(np.argmax(d1))
-        _, d2, _ = local_bfs_tree(g, [far])
+        _, d2 = local_bfs_tree(g, [far])
         best = max(best, int(d2.max()))
     return best

@@ -55,7 +55,7 @@ def canonical_edges(pairs: np.ndarray) -> np.ndarray:
 
 def is_connected_edges(edges: np.ndarray, n: int) -> bool:
     """Whether a canonical edge array connects all of ``0..n-1`` (one BFS)."""
-    _, depth, _ = local_bfs_tree(CSRGraph.from_edges(edges, n), [0])
+    _, depth = local_bfs_tree(CSRGraph.from_edges(edges, n), [0])
     return bool((depth >= 0).all())
 
 

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rademacher_matrix", "jl_width_theoretical"]
+__all__ = ["rademacher_matrix"]
 
 
 def rademacher_matrix(w: int, d: int, *, rng: np.random.Generator) -> np.ndarray:
     """``(w, d)`` matrix with i.i.d. ``±1/√w`` entries."""
     return rng.choice(np.array([-1.0, 1.0]), size=(w, d)) / np.sqrt(w)
-
-
-def jl_width_theoretical(n: int, eps: float) -> int:
-    """The paper's bound ``w = ⌈24 (ε/7)⁻² log n⌉`` (Algorithms 2/4, line 1)."""
-    return int(np.ceil(24.0 * (eps / 7.0) ** -2 * np.log(max(n, 2))))

@@ -74,27 +74,26 @@ class TestFromEdgesValidation:
 
 class TestLocalBFS:
     def test_path_graph_depths(self, path4):
-        parent, depth, buckets = local_bfs_tree(path4, [0])
+        parent, depth = local_bfs_tree(path4, [0])
         assert depth.tolist() == [0, 1, 2, 3]
         assert parent.tolist() == [-1, 0, 1, 2]
-        assert [b.tolist() for b in buckets] == [[0], [1], [2], [3]]
 
     def test_multi_source(self, path4):
-        _, depth, _ = local_bfs_tree(path4, [0, 3])
+        _, depth = local_bfs_tree(path4, [0, 3])
         assert depth.tolist() == [0, 1, 1, 0]
 
     def test_parent_is_neighbor(self, ba200):
-        parent, depth, _ = local_bfs_tree(ba200, [0])
+        parent, depth = local_bfs_tree(ba200, [0])
         for u in range(1, ba200.n):
             assert parent[u] in ba200.neighbors(u)
             assert depth[u] == depth[parent[u]] + 1
 
     def test_covers_connected_graph(self, ba200):
-        _, depth, _ = local_bfs_tree(ba200, [5])
+        _, depth = local_bfs_tree(ba200, [5])
         assert (depth >= 0).all()
 
     def test_grid_depth_is_manhattan(self, grid5):
-        _, depth, _ = local_bfs_tree(grid5, [0])
+        _, depth = local_bfs_tree(grid5, [0])
         for r in range(5):
             for c in range(5):
                 assert depth[r * 5 + c] == r + c

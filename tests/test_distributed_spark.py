@@ -24,6 +24,7 @@ from repro.core.params import Params
 from repro.core.schur_cfcm import schur_cfcm
 from repro.fanout import fan_out
 from repro.forest.distributed import SampleConfig, adaptive_forest_stats
+from tests.test_forest_estimators import ones_row
 
 
 def _cfg() -> SampleConfig:
@@ -48,7 +49,7 @@ class TestSampleBudget:
         (stats, _), jobs = _counting_jobs(
             spark,
             "sample-budget",
-            lambda: adaptive_forest_stats(spark, karate, [33], None, 0.3, seed=4, config=config),
+            lambda: adaptive_forest_stats(spark, karate, [33], ones_row(karate.n, [33]), 0.3, seed=4, config=config),
         )
         assert jobs == 1
         assert stats.n_forests == 542
@@ -117,8 +118,9 @@ class TestJobsPerCall:
 class TestSparkSampling:
     def test_matches_local_exactly(self, spark, karate):
         # Same seeds → identical per-forest contributions, any partitioning.
-        loc, _ = adaptive_forest_stats(None, karate, [33], None, 0.3, seed=11, config=_cfg())
-        dist, _ = adaptive_forest_stats(spark, karate, [33], None, 0.3, seed=11, config=_cfg())
+        W = ones_row(karate.n, [33])
+        loc, _ = adaptive_forest_stats(None, karate, [33], W, 0.3, seed=11, config=_cfg())
+        dist, _ = adaptive_forest_stats(spark, karate, [33], W, 0.3, seed=11, config=_cfg())
         assert loc.n_forests == dist.n_forests
         np.testing.assert_allclose(loc.z_sum, dist.z_sum, atol=1e-9)
 
@@ -132,17 +134,19 @@ class TestSparkSampling:
 
     def test_matches_local_with_root_counts(self, spark, karate):
         roots = [5, 33, 0]
+        W = ones_row(karate.n, roots)
         loc, _ = adaptive_forest_stats(
-            None, karate, roots, None, 0.3, t_nodes=[0, 33], seed=6, config=_cfg()
+            None, karate, roots, W, 0.3, t_nodes=[0, 33], seed=6, config=_cfg()
         )
         dist, _ = adaptive_forest_stats(
-            spark, karate, roots, None, 0.3, t_nodes=[0, 33], seed=6, config=_cfg()
+            spark, karate, roots, W, 0.3, t_nodes=[0, 33], seed=6, config=_cfg()
         )
         np.testing.assert_allclose(loc.root_counts, dist.root_counts, atol=1e-9)
 
     def test_deterministic_across_runs(self, spark, karate):
-        a, _ = adaptive_forest_stats(spark, karate, [33], None, 0.3, seed=3, config=_cfg())
-        b, _ = adaptive_forest_stats(spark, karate, [33], None, 0.3, seed=3, config=_cfg())
+        W = ones_row(karate.n, [33])
+        a, _ = adaptive_forest_stats(spark, karate, [33], W, 0.3, seed=3, config=_cfg())
+        b, _ = adaptive_forest_stats(spark, karate, [33], W, 0.3, seed=3, config=_cfg())
         np.testing.assert_array_equal(a.z_sum, b.z_sum)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from repro.experiments import table2 as harness
 from repro.experiments.graphs import SUITE, TINY, build_graph, graph_stats
-from repro.experiments.table2 import PAPER_TABLE2, GraphRuns, fig1, fig5, fig23, markdown, sweep, table2
+from repro.experiments.table2 import GraphRuns, fig1, fig5, fig23, markdown, sweep, table2
 
 
 @pytest.fixture()
@@ -18,9 +18,6 @@ def small_sweep(monkeypatch):
 
 
 class TestSuite:
-    def test_all_specs_have_paper_rows(self):
-        assert set(PAPER_TABLE2) == set(SUITE)
-
     @pytest.mark.parametrize("name", ["road-1000", "ba-2000-d8"])
     def test_build(self, name):
         g = build_graph(name)

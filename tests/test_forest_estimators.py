@@ -31,6 +31,13 @@ from tests import test_wilson
 BIG = SampleConfig(r_coeff=30)
 
 
+def ones_row(n, roots):
+    """The one-row ``W`` of eq. (7): ones, zeroed on the roots."""
+    W = np.ones((1, n))
+    W[0, roots] = 0.0
+    return W
+
+
 def _dense_diag(L, S, n):
     M, keep = submatrix_inverse(L, S)
     out = np.zeros(n)
@@ -65,7 +72,7 @@ class TestConnectivity:
         # Two triangles: nodes 3-5 are unreachable from root 0.
         g = CSRGraph.from_edges(np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]), 6)
         with pytest.raises(ValueError, match="3 of 6 nodes are unreachable"):
-            adaptive_forest_stats(None, g, [0], None, 0.3, seed=0, config=BIG)
+            adaptive_forest_stats(None, g, [0], ones_row(g.n, [0]), 0.3, seed=0, config=BIG)
 
 
 class TestForestMasks:
@@ -86,20 +93,21 @@ class TestDiagonalEstimator:
     @pytest.mark.parametrize("S", [[33], [33, 0], [5, 20, 31]])
     def test_z_unbiased_karate(self, karate, S):
         L = laplacian_dense(karate)
-        stats, _ = adaptive_forest_stats(None, karate, S, None, 0.2, seed=0, config=BIG)
+        stats, _ = adaptive_forest_stats(None, karate, S, ones_row(karate.n, S), 0.2, seed=0, config=BIG)
         true = _dense_diag(L, S, karate.n)
         keep = true > 0
         rel = np.abs(stats.z[keep] - true[keep]) / true[keep]
         assert rel.max() < 0.12
 
     def test_z_zero_at_roots(self, karate):
-        stats, _ = adaptive_forest_stats(None, karate, [33, 0], None, 0.2, seed=0, config=BIG)
+        S = [33, 0]
+        stats, _ = adaptive_forest_stats(None, karate, S, ones_row(karate.n, S), 0.2, seed=0, config=BIG)
         assert stats.z[33] == 0.0 and stats.z[0] == 0.0
 
     def test_z_on_grid(self, grid5):
         L = laplacian_dense(grid5)
         S = [0, 24]
-        stats, _ = adaptive_forest_stats(None, grid5, S, None, 0.2, seed=1, config=BIG)
+        stats, _ = adaptive_forest_stats(None, grid5, S, ones_row(grid5.n, S), 0.2, seed=1, config=BIG)
         true = _dense_diag(L, S, grid5.n)
         keep = true > 0
         assert (np.abs(stats.z[keep] - true[keep]) / true[keep]).max() < 0.12
@@ -207,7 +215,7 @@ class TestAbsorptionEstimator:
         F_ex, U_ids, T_ids = absorption_probabilities(L, S, T)
         roots = sorted(S) + sorted(T)
         stats, _ = adaptive_forest_stats(
-            None, karate, roots, None, 0.2, t_nodes=sorted(T), seed=5, config=BIG
+            None, karate, roots, ones_row(karate.n, roots), 0.2, t_nodes=sorted(T), seed=5, config=BIG
         )
         assert np.abs(stats.f_hat[U_ids] - F_ex).max() < 0.05
 
@@ -215,7 +223,7 @@ class TestAbsorptionEstimator:
         # With S empty-equivalent (all roots in T), absorption rows sum to 1.
         T = [33, 0, 32]
         stats, _ = adaptive_forest_stats(
-            None, karate, T, None, 0.2, t_nodes=sorted(T), seed=6, config=BIG
+            None, karate, T, ones_row(karate.n, T), 0.2, t_nodes=sorted(T), seed=6, config=BIG
         )
         U = [u for u in range(karate.n) if u not in T]
         np.testing.assert_allclose(stats.f_hat[U].sum(axis=1), 1.0, atol=1e-12)
@@ -224,8 +232,9 @@ class TestAbsorptionEstimator:
 class TestStatsAccumulator:
     def test_add_merges_counts(self, karate):
         cfg1 = SampleConfig(r_coeff=1)  # 153 forests on karate
-        a, _ = adaptive_forest_stats(None, karate, [33], None, 0.2, seed=1, config=cfg1)
-        b, _ = adaptive_forest_stats(None, karate, [33], None, 0.2, seed=2, config=cfg1)
+        W = ones_row(karate.n, [33])
+        a, _ = adaptive_forest_stats(None, karate, [33], W, 0.2, seed=1, config=cfg1)
+        b, _ = adaptive_forest_stats(None, karate, [33], W, 0.2, seed=2, config=cfg1)
         za, zb = a.z.copy(), b.z.copy()
         na, nb = a.n_forests, b.n_forests
         merged = a.add(b)
@@ -260,7 +269,8 @@ class TestChunkStats:
         bfs = bfs_tree_for_roots(karate, [5, 33, 0])
         t_col = np.full(karate.n, -1, dtype=np.int64)
         t_col[33], t_col[0] = 0, 1
-        n_tot, _, _, rc = chunk_stats(karate, bfs, None, t_col, 2, 3, 500)
+        BW_T = np.zeros((karate.n, 1))
+        n_tot, _, _, rc = chunk_stats(karate, bfs, BW_T, t_col, 2, 3, 500)
         # Counts bounded by the forest count; roots of S never counted.
         assert rc.max() <= n_tot
         assert rc[5].sum() == 0  # node 5 is a root itself
@@ -268,6 +278,26 @@ class TestChunkStats:
         assert rc[U].sum() > 0
 
     def test_adaptive_uses_chunks(self, karate):
-        stats, _ = adaptive_forest_stats(None, karate, [33], None, 0.2, seed=1, config=BIG)
+        stats, _ = adaptive_forest_stats(None, karate, [33], ones_row(karate.n, [33]), 0.2, seed=1, config=BIG)
         assert stats.n_forests == 4566  # BIG at eps=0.2 on karate, in 286 chunks
-        assert stats.y_sum is None
+
+    def test_z_and_root_counts_do_not_depend_on_weights(self, karate):
+        # ẑ and the root counts read only the forests, so a chunk's sums
+        # are bit-equal whatever weights ride along: the one-row W that
+        # the z and root-count tests pass leaves their numbers alone.
+        S, T = [5], [33, 0]
+        bfs = bfs_tree_for_roots(karate, S + T)
+        t_col = np.full(karate.n, -1, dtype=np.int64)
+        t_col[T] = np.arange(len(T))
+        W = np.random.default_rng(9).standard_normal((4, karate.n))
+        W[:, S + T] = 0.0
+
+        def run(w):
+            BW_T = subtree_sums_T(bfs.parent, bfs.depth, np.ascontiguousarray(w.T))
+            return chunk_stats(karate, bfs, BW_T, t_col, len(T), 11, 200)
+
+        n1, z1, y1, rc1 = run(ones_row(karate.n, S + T))
+        n4, z4, y4, rc4 = run(W)
+        assert (n1, y1.shape, y4.shape) == (n4, (karate.n, 1), (karate.n, 4))
+        np.testing.assert_array_equal(z1, z4)
+        np.testing.assert_array_equal(rc1, rc4)

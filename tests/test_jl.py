@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.linalg.jl import jl_width_theoretical, rademacher_matrix
+from repro.linalg.jl import rademacher_matrix
 
 
 class TestRademacher:
@@ -45,15 +45,12 @@ class TestRademacher:
         assert np.mean(vals) == pytest.approx(np.linalg.norm(v) ** 2, rel=0.1)
 
 
-def test_theoretical_width_scaling():
-    assert jl_width_theoretical(1000, 0.2) > jl_width_theoretical(1000, 0.4)
-    assert jl_width_theoretical(10**6, 0.2) > jl_width_theoretical(100, 0.2)
-
-
 def test_params_width_practical():
     from repro.core.params import Params
 
     p = Params(eps=0.2)
-    assert 8 <= p.jl_width(1000) < jl_width_theoretical(1000, 0.2)
+    # The paper's bound w = ⌈24 (ε/7)⁻² log n⌉ (Algorithms 2/4, line 1).
+    theoretical = int(np.ceil(24.0 * (0.2 / 7.0) ** -2 * np.log(1000)))
+    assert 8 <= p.jl_width(1000) < theoretical
     assert p.jl_width(10**6) > p.jl_width(100)
     assert Params(eps=0.1).jl_width(1000) > Params(eps=0.3).jl_width(1000)

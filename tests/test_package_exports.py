@@ -1,4 +1,4 @@
-"""Every module under ``repro`` imports, its ``__all__`` names resolve, and the program uses it.
+"""Every module under ``repro`` imports, its ``__all__`` names resolve, and the program uses both.
 
 The benchmark's tracer (``cfcmbench/tracing.py``) binds program functions
 by name and reads some of their parameters; the last tests pin the names
@@ -63,6 +63,36 @@ def test_every_module_is_reached_by_the_program():
     assert not unreached, f"modules no program file imports: {unreached}"
 
 
+# Dense ground truths that tests compare the estimators against; the
+# program itself computes these quantities by sampling.
+TEST_ORACLES = {
+    f"repro.linalg.laplacian.{a}"
+    for a in ("cfcc_single_all", "marginal_gain_exact", "marginal_gain_all_exact",
+              "absorption_probabilities", "schur_complement")
+}
+
+
+def test_every_public_name_is_read_by_the_program():
+    # No public name that only tests read: each name in a module's
+    # ``__all__`` is loaded somewhere in program code, as a bare name or
+    # as an attribute (definitions, imports and ``__all__`` don't count).
+    used = set()
+    for d in PROGRAM_DIRS:
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unread = [
+        f"{name}.{a}"
+        for name in MODULES
+        for a in getattr(importlib.import_module(name), "__all__", [])
+        if a not in used and f"{name}.{a}" not in TEST_ORACLES
+    ]
+    assert not unread, f"public names no program code reads: {unread}"
+
+
 @pytest.fixture()
 def tracing(monkeypatch):
     """``cfcmbench/tracing.py``, loaded read-only under a private module name."""
@@ -89,6 +119,7 @@ def test_tracer_signatures(karate):
     from repro.core.params import Params
     from repro.forest.distributed import adaptive_forest_stats
     from repro.forest.estimators import chunk_stats
+    from tests.test_forest_estimators import ones_row
 
     # The tracer binds these calls' arguments and reads them by name.
     sampling = inspect.signature(adaptive_forest_stats).parameters
@@ -99,7 +130,7 @@ def test_tracer_signatures(karate):
                   if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
     assert len(positional) == 7
     # It reads the forest count off the first element of the sampling call's result.
-    stats, _ = adaptive_forest_stats(None, karate, [33], None, 0.4)
+    stats, _ = adaptive_forest_stats(None, karate, [33], ones_row(karate.n, [33]), 0.4)
     assert stats.n_forests > 0
     params = Params()
     assert params.cg_tol > 0 and params.jl_width(karate.n) >= 8

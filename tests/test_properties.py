@@ -158,7 +158,7 @@ def test_telescope_linearity(g, seed):
 def test_bfs_depths_are_shortest(g, seed):
     rng = np.random.default_rng(seed)
     root = int(rng.integers(0, g.n))
-    _, depth, _ = local_bfs_tree(g, [root])
+    _, depth = local_bfs_tree(g, [root])
     # BFS property: neighbouring depths differ by at most 1.
     for a, b in g.edge_array():
         assert abs(depth[a] - depth[b]) <= 1

@@ -4,16 +4,12 @@ import pytest
 
 from repro.core.evaluate import cfcc_dense
 from repro.core.exact import exact_greedy
-from repro.core.forest_cfcm import read_out, rooted_sample
+from repro.core.forest_cfcm import read_out, rooted_sample, schur_complement_from_counts
 from repro.core.params import Params
-from repro.core.schur_cfcm import (
-    schur_cfcm,
-    schur_complement_from_counts,
-    schur_delta,
-    select_T,
-)
+from repro.core.schur_cfcm import schur_cfcm, schur_delta, select_T
 from repro.forest.distributed import SampleConfig, adaptive_forest_stats
 from repro.linalg.laplacian import laplacian_dense, marginal_gain_all_exact, schur_complement
+from tests.test_forest_estimators import ones_row
 
 ACC = Params(eps=0.2 / np.sqrt(8), sample=SampleConfig(r_coeff=5.125))  # w = 255, 6240 forests on karate
 BIG = SampleConfig(r_coeff=27)  # 4110 forests on karate at eps=0.2
@@ -80,7 +76,7 @@ class TestSchurComplementEstimate:
         L = laplacian_dense(karate)
         roots = sorted(S) + sorted(T)
         stats, _ = adaptive_forest_stats(
-            None, karate, roots, None, 0.2, t_nodes=sorted(T), seed=1, config=BIG
+            None, karate, roots, ones_row(karate.n, roots), 0.2, t_nodes=sorted(T), seed=1, config=BIG
         )
         mask = np.zeros(karate.n, dtype=bool)
         mask[roots] = True
@@ -92,7 +88,7 @@ class TestSchurComplementEstimate:
         S, T = [5], [33, 0]
         roots = sorted(S) + sorted(T)
         stats, _ = adaptive_forest_stats(
-            None, karate, roots, None, 0.2, t_nodes=sorted(T), seed=2, config=BIG
+            None, karate, roots, ones_row(karate.n, roots), 0.2, t_nodes=sorted(T), seed=2, config=BIG
         )
         mask = np.zeros(karate.n, dtype=bool)
         mask[roots] = True
