@@ -20,8 +20,8 @@ never fired before the cap (84 calls: 7 graphs × 3 root sets × ε ∈
 {0.4, 0.3, 0.2, 0.15}), so the rounds decided nothing and only added a
 Spark job each. On 4 local cores a trivial job then cost about 0.35 s,
 0.23 s of it each Python task re-reading ``pyspark.zip`` and the Spark
-jar; since ``repro.fanout`` stops that, a job costs about 0.12 s. See
-DESIGN.md §5.
+jar. Since ``repro.fanout`` stops that and has each task ACK its
+command at once, a trivial job costs 0.04–0.05 s. See DESIGN.md §5.
 """
 from __future__ import annotations
 

@@ -3,12 +3,15 @@
 Verifies the RDD path produces exactly the statistics the local path
 produces (same seeds), is deterministic, that a sampling call draws its
 whole forest budget in one Spark job, that each greedy iteration runs
-one job, that every job goes through ``repro.fanout`` and its tasks start
-without zip finders, and that full algorithm runs work through Spark.
+one job, that every job goes through ``repro.fanout``, that its tasks start
+without zip finders and read a small input without a delayed-ACK wait,
+and that full algorithm runs work through Spark.
 """
 import importlib
 import re
+import statistics
 import sys
+import time
 import zipimport
 from dataclasses import replace
 from pathlib import Path
@@ -63,6 +66,16 @@ def _import_in_task(_payload, name: str) -> str:
     return importlib.import_module(name).__name__
 
 
+def _nothing(_payload, _item) -> None:
+    return None
+
+
+def _job_seconds(spark, items) -> float:
+    t0 = time.perf_counter()
+    fan_out(spark, None, items, _nothing)
+    return time.perf_counter() - t0
+
+
 class TestFanOut:
     def test_tasks_start_without_zip_finders(self, spark):
         # One item per partition, so every partition reports.
@@ -76,8 +89,23 @@ class TestFanOut:
         # through a finder rebuilt after the drop.
         assert fan_out(spark, None, ["pyspark.ml.linalg"] * 2, _import_in_task) == ["pyspark.ml.linalg"] * 2
 
+    def test_small_task_input_is_not_held(self, spark):
+        # A partition's input of 64 KiB or more goes out at once, while a
+        # small one waits for the worker to ACK the task's command: 40 ms of
+        # delayed ACK unless the task sends it first. So jobs of tiny items
+        # must not run slower than jobs of large ones.
+        slices = max(2, spark.sparkContext.defaultParallelism)
+        tiny, large = [0] * slices, [bytes(128 * 1024)] * slices
+        for _ in range(5):
+            _job_seconds(spark, tiny)
+            _job_seconds(spark, large)
+        rounds = [(_job_seconds(spark, tiny), _job_seconds(spark, large)) for _ in range(9)]
+        tiny_s, large_s = (statistics.median(r) for r in zip(*rounds))
+        assert tiny_s < large_s + 0.020, (tiny_s, large_s)
+
     def test_no_other_call_site(self):
-        # Every Spark job in the program goes through fan_out, so none skips the finder drop.
+        # Every Spark job in the program goes through fan_out, so every task
+        # drops its zip finders and ACKs its command at once.
         src = Path(repro.__file__).parent
         call = re.compile(r"parallelize\(|\.broadcast\(")
         offenders = [
